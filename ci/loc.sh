@@ -5,9 +5,10 @@
 #   non-test lines  every .rs file under crates/, outside tests/, benches/
 #                   and fixtures/ directories, counted up
 #                   to its first column-0 `#[cfg(test)]` line;
-#   xlint allows    `xlint::allow(` sites in .rs files outside crates/xlint
-#                   (the lint's own sources and fixtures name the marker
-#                   without suppressing anything).
+#   lint exceptions every `#[allow(`, `#![allow(`, `#[expect(`,
+#                   `#![expect(` and `xlint::allow(` in .rs files outside
+#                   crates/xlint (the lint's own sources and fixtures name
+#                   the markers without suppressing anything).
 #
 # Run from anywhere inside the checkout:
 #
@@ -28,7 +29,8 @@ lines="$(awk 'FNR == 1 { in_tests = 0 }
     END { print n + 0 }' "${sources[@]}")"
 
 mapfile -t all < <(rust_files . | grep -v '^\./crates/xlint/')
-allows="$(cat "${all[@]}" | grep -cF 'xlint::allow(' || true)"
+exceptions="$(cat "${all[@]}" |
+    grep -oE '#!?\[(allow|expect)\(|xlint::allow\(' | wc -l)"
 
 echo "non-test lines: $lines"
-echo "xlint allows: $allows"
+echo "lint exceptions: $exceptions"

@@ -114,7 +114,10 @@ impl HDfsMiner {
         for (&seq_id, tuples) in &occ {
             let ivs = &ordered[seq_id as usize];
             for tuple in tuples {
-                // xlint::allow(no-panic-lib): occurrence tuples are built non-empty at arity 1 and only grow
+                #[expect(
+                    clippy::expect_used,
+                    reason = "occurrence tuples are built non-empty at arity 1 and only grow"
+                )]
                 let last = *tuple.last().expect("non-empty occurrence") as usize;
                 for next in (last + 1)..ivs.len() {
                     scratch.clear();

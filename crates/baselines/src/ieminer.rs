@@ -187,6 +187,10 @@ pub fn insertions(p: &TemporalPattern, symbol: SymbolId) -> Vec<TemporalPattern>
 }
 
 /// The sub-pattern of `p` with `slot` removed (groups that become empty are
+#[expect(
+    clippy::expect_used,
+    reason = "removing one interval's two endpoints and renumbering preserves well-formedness; a reject is algorithm corruption"
+)]
 /// dropped; remaining slots are canonically renumbered).
 pub fn remove_slot(p: &TemporalPattern, slot: usize) -> TemporalPattern {
     let renumber = |s: u8| if (s as usize) > slot { s - 1 } else { s };
@@ -204,7 +208,6 @@ pub fn remove_slot(p: &TemporalPattern, slot: usize) -> TemporalPattern {
             groups.push(filtered);
         }
     }
-    // xlint::allow(no-panic-lib): removing one interval's two endpoints and renumbering preserves well-formedness; a reject is algorithm corruption
     TemporalPattern::from_groups(groups).expect("dropping a slot keeps patterns well-formed")
 }
 

@@ -78,7 +78,10 @@ pub fn prefix_contains(seq: &IntervalSequence, prefix: &Prefix) -> bool {
     let slots = prefix.slots();
     let last_group = (prefix.groups.len() - 1) as u16;
     // An endpoint anchored in the last set, used to read off its data time.
-    // xlint::allow(no-panic-lib): guarded by the is_empty early-return above
+    #[expect(
+        clippy::expect_used,
+        reason = "guarded by the is_empty early-return above"
+    )]
     let anchor = prefix.groups.last().expect("non-empty")[0];
 
     // Bucket sequence instances by the symbols the prefix needs.
@@ -153,7 +156,6 @@ fn pairwise_ok(
     true
 }
 
-#[allow(clippy::too_many_arguments)]
 fn search(
     slots: &[PrefixSlot],
     last_group: u16,

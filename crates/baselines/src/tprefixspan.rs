@@ -121,7 +121,10 @@ impl TPrefixSpan {
         BaselineResult::finish(out, stats)
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one recursion level's state travels as arguments, not as a struct rebuilt per level"
+    )]
     fn grow(
         &self,
         db: &IntervalDatabase,
@@ -135,8 +138,11 @@ impl TPrefixSpan {
         stats: &mut BaselineStats,
     ) {
         if open.is_empty() {
+            #[expect(
+                clippy::expect_used,
+                reason = "enumeration emits only canonical well-formed prefixes, mirroring the engine's emit path"
+            )]
             let pattern = TemporalPattern::from_groups(prefix.groups.clone())
-                // xlint::allow(no-panic-lib): enumeration emits only canonical well-formed prefixes, mirroring the engine's emit path
                 .expect("generated prefixes are well-formed");
             out.push(FrequentPattern {
                 pattern,

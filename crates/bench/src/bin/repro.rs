@@ -17,7 +17,15 @@
 //! pattern set is a sound subset (exact supports), so the timing row and
 //! any cross-miner agreement checks for that row are skipped.
 
-#![allow(clippy::print_stdout, clippy::print_stderr)]
+#![allow(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    reason = "the evaluation harness prints its tables, and may stop on a broken invariant"
+)]
 
 use baselines::{BaselineResult, HDfsMiner, IeMiner, TPrefixSpan};
 use bench::chart::Chart;
@@ -159,6 +167,10 @@ fn main() -> ExitCode {
 
 /// Runs `f` once: its wall-clock time in microseconds, and its value.
 fn timed<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the harness reports each run's wall-clock time"
+    )]
     let started = Instant::now();
     let value = f();
     (started.elapsed().as_micros() as u64, value)

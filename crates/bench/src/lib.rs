@@ -4,7 +4,15 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-#![allow(clippy::print_stdout, clippy::print_stderr)]
+#![allow(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    reason = "the evaluation harness prints its tables, and may stop on a broken invariant"
+)]
 
 pub mod chart;
 pub mod tables;

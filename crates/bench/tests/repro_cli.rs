@@ -1,6 +1,13 @@
 //! `repro`'s exit status: every experiment name is checked before any
 //! experiment runs, so a typo costs nothing and reports the usage error.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "a test helper fails its test by panicking"
+)]
+
 use std::process::Command;
 
 /// The usage exit code of the CLI's registry (`cli/src/exit.rs`).

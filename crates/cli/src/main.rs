@@ -29,7 +29,15 @@
 //! | 5    | durability degraded — WAL stopped accepting writes (or a recovered log was corrupt); the in-memory result is complete |
 //! | 130  | interrupted by Ctrl-C — partial result |
 
-#![allow(clippy::print_stdout, clippy::print_stderr)]
+#![allow(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    reason = "a command-line tool: it prints, and may stop on a broken invariant"
+)]
 
 mod args;
 mod client_cmd;
@@ -363,6 +371,10 @@ fn mine(p: &Parsed) -> Result<ExitCode, String> {
     config.min_support = stream_cmd::support_from(p)?
         .ok_or("pass --min-support FRAC or --abs-support N")?
         .absolute_for(db.len());
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "`mine` reports how long the run took"
+    )]
     let started = Instant::now();
     let result = ParallelTpMiner::new(config, p.num("threads", 1)?)
         .with_budget(budget)

@@ -21,6 +21,10 @@ static TOKEN: OnceLock<CancellationToken> = OnceLock::new();
 /// On non-Unix platforms this returns a token nothing ever cancels.
 pub fn install() -> CancellationToken {
     let token = TOKEN.get_or_init(CancellationToken::new).clone();
+    #[expect(
+        unsafe_code,
+        reason = "registering the handler is the CLI's one FFI call"
+    )]
     #[cfg(unix)]
     // SAFETY: `signal` is the C library entry point with the documented
     // signature, so the FFI call itself is sound. The registered handler
@@ -57,6 +61,10 @@ extern "C" fn handle_sigint(_signum: i32) {
     }
     // Restore the default disposition: the *next* Ctrl-C kills the process
     // outright instead of re-requesting a cancellation already under way.
+    #[expect(
+        unsafe_code,
+        reason = "restoring the default disposition is the same FFI call"
+    )]
     // SAFETY: we are executing *inside* a signal handler, where only
     // async-signal-safe calls are permitted; `signal()` is on the POSIX
     // signal-safety(7) list, takes no locks and allocates nothing. SIG_DFL

@@ -175,6 +175,10 @@ pub fn run(p: &Parsed) -> Result<ExitCode, String> {
     }
 
     let token = sigint::install();
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "`--timeout` is a wall-clock deadline on the whole stream"
+    )]
     let deadline = timeout_from(p)?.map(|timeout| Instant::now() + timeout);
     // Every refresh, the final one included, runs under the SIGINT token
     // and whatever is left of the `--timeout` deadline.
@@ -227,6 +231,10 @@ pub fn run(p: &Parsed) -> Result<ExitCode, String> {
         },
     );
     let mut seal_warned = false;
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "each refresh report carries the stream's elapsed time"
+    )]
     let started = Instant::now();
     let mut full_refreshes = 0u64;
     // Why the tail stopped before end of input, if it did.
@@ -239,6 +247,10 @@ pub fn run(p: &Parsed) -> Result<ExitCode, String> {
             stopped = Some(Termination::Cancelled);
             break;
         }
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "`--timeout` is a wall-clock deadline on the whole stream"
+        )]
         if deadline.is_some_and(|d| Instant::now() >= d) {
             stopped = Some(Termination::DeadlineExceeded);
             break;

@@ -11,6 +11,13 @@
 //! Every CLI run is made twice, in text mode and with `--json`, and the
 //! two must report the same patterns.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "a test helper fails its test by panicking"
+)]
+
 use interval_core::rng::SplitMix64;
 use std::fs::File;
 use std::io::{BufRead, BufReader, Write};

@@ -10,6 +10,13 @@
 //! a change to `generate` or its seeded generator cannot move these
 //! strings.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "a test helper fails its test by panicking"
+)]
+
 use std::process::{Command, Output};
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -3,6 +3,13 @@
 //! under `tests/fixtures/wal/` (repo root) and against logs it writes
 //! itself.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "a test helper fails its test by panicking"
+)]
+
 use std::path::PathBuf;
 use std::process::{Command, Output};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -4,6 +4,14 @@
 //! same window, and a SIGINT drain that flushes the WAL and loses no
 //! accepted event (verified by replaying the log with `recover`).
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::disallowed_methods,
+    reason = "a test helper fails its test by panicking, and tests drive the server from client threads"
+)]
+
 use std::fs::File;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;

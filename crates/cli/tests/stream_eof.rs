@@ -3,6 +3,13 @@
 //! promptly instead of spinning on zero-byte reads, and `--stats-json`
 //! must report the run in machine-readable form.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "a test helper fails its test by panicking"
+)]
+
 use std::io::Write;
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;

@@ -185,7 +185,10 @@ impl GestureEmulator {
             let mut jitter = || (rng_jitter(rng) * 0.08) * sign_frames;
             let start = anchor + a.offset_frac * sign_frames + jitter();
             let duration = (a.duration_frac * sign_frames + jitter()).max(2.0);
-            // xlint::allow(no-panic-lib): every template tier is interned before generation; a miss means the tier list and templates drifted
+            #[expect(
+                clippy::expect_used,
+                reason = "every template tier is interned before generation; a miss means the tier list and templates drifted"
+            )]
             let symbol = symbols.lookup(a.tier).expect("tier interned");
             let start = start.round() as Time;
             seq.push(EventInterval::new_unchecked(

@@ -86,7 +86,10 @@ impl IcuEmulator {
         let h = |rng: &mut SplitMix64| hours(rng, cfg.avg_state_hours);
 
         let push = |seq: &mut IntervalSequence, name: &str, start: Time, dur: Time| {
-            // xlint::allow(no-panic-lib): every clinical state name is interned before generation; a miss means the state list and scripts drifted
+            #[expect(
+                clippy::expect_used,
+                reason = "every clinical state name is interned before generation; a miss means the state list and scripts drifted"
+            )]
             let sym = symbols.lookup(name).expect("state interned");
             seq.push(EventInterval::new_unchecked(sym, start, start + dur.max(1)));
         };

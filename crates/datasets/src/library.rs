@@ -107,9 +107,15 @@ impl LibraryEmulator {
             if rng.unit_f64() < 0.55 {
                 // Correlated pair following the habit.
                 let (first, second, gap_mean) = habit;
-                // xlint::allow(no-panic-lib): habit pairs are drawn from CATEGORIES, all interned up front; a miss means the two tables drifted
+                #[expect(
+                    clippy::expect_used,
+                    reason = "habit pairs are drawn from CATEGORIES, all interned up front; a miss means the two tables drifted"
+                )]
                 let a = symbols.lookup(first).expect("category interned");
-                // xlint::allow(no-panic-lib): habit pairs are drawn from CATEGORIES, all interned up front; a miss means the two tables drifted
+                #[expect(
+                    clippy::expect_used,
+                    reason = "habit pairs are drawn from CATEGORIES, all interned up front; a miss means the two tables drifted"
+                )]
                 let b = symbols.lookup(second).expect("category interned");
                 seq.push(interval_core::EventInterval::new_unchecked(
                     a,
@@ -127,9 +133,12 @@ impl LibraryEmulator {
                 count += 2;
             } else {
                 // Casual loan of any category.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "indexed straight out of CATEGORIES, which is interned up front"
+                )]
                 let c = symbols
                     .lookup(CATEGORIES[rng.range(0..CATEGORIES.len())])
-                    // xlint::allow(no-panic-lib): indexed straight out of CATEGORIES, which is interned up front
                     .expect("category interned");
                 seq.push(interval_core::EventInterval::new_unchecked(
                     c,

@@ -121,9 +121,12 @@ impl StockEmulator {
                 while end < days && states[end] == state {
                     end += 1;
                 }
+                #[expect(
+                    clippy::expect_used,
+                    reason = "all ticker-state names are interned before generation from the same format string"
+                )]
                 let symbol = symbols
                     .lookup(&format!("stk{t}-{}", state.suffix()))
-                    // xlint::allow(no-panic-lib): all ticker-state names are interned before generation from the same format string
                     .expect("state symbol interned");
                 intervals.push(EventInterval::new_unchecked(
                     symbol,

@@ -10,7 +10,7 @@
 //!
 //! This module is the workspace's sanctioned home for durability clock
 //! reads: the backoff deadline below is the one place wall-clock time is
-//! consulted (see `xlint`'s `no-unbudgeted-clock` rule).
+//! consulted (clippy's `disallowed_methods` lint rejects any other).
 
 use std::fs;
 use std::io::{self, Write};
@@ -132,6 +132,10 @@ pub fn retry_io<T>(
     retries: &mut u64,
     mut op: impl FnMut() -> io::Result<T>,
 ) -> io::Result<T> {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the WAL's retry loop bounds its exponential backoff by elapsed wall time: durability's one sanctioned clock read"
+    )]
     let started = Instant::now();
     let mut delay = policy.base_delay;
     let mut attempt = 0u32;
@@ -183,6 +187,10 @@ pub fn write_all_retrying<F: WalFile>(
 }
 
 #[cfg(any(test, feature = "fault-injection"))]
+#[expect(
+    clippy::unwrap_used,
+    reason = "test-only fault shim: its lock is poisoned only when a test thread has already panicked"
+)]
 mod faults {
     //! Deterministic fault injection. Faults are expressed against the
     //! *global appended byte offset*, so a test can name an exact crash

@@ -198,6 +198,10 @@ impl MiningBudget {
     }
 
     /// Sets the deadline `timeout` from now.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the mining budget owns time: setting its deadline is a sanctioned clock read"
+    )]
     pub fn with_timeout(self, timeout: Duration) -> Self {
         self.with_deadline(Instant::now() + timeout)
     }
@@ -229,6 +233,10 @@ impl MiningBudget {
         if self.cancel.is_cancelled() {
             return Some(Termination::Cancelled);
         }
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the mining budget owns time: checking its deadline is a sanctioned clock read"
+        )]
         if let Some(d) = self.deadline {
             if Instant::now() >= d {
                 return Some(Termination::DeadlineExceeded);
@@ -267,6 +275,10 @@ impl MiningBudget {
             return Err(Termination::Cancelled);
         }
         self.charge_node()?;
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the mining budget owns time: checking its deadline is a sanctioned clock read"
+        )]
         if let Some(d) = self.deadline {
             if Instant::now() >= d {
                 return Err(Termination::DeadlineExceeded);
@@ -313,6 +325,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test needs a deadline that has already passed"
+    )]
     fn expired_deadline_trips_on_first_node() {
         let budget = MiningBudget::unlimited().with_deadline(Instant::now());
         assert_eq!(budget.on_node(), Err(Termination::DeadlineExceeded));

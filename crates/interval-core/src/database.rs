@@ -218,13 +218,19 @@ impl SequenceBuilder<'_> {
     /// fallible construction.
     pub fn interval(self, symbol: &str, start: Time, end: Time) -> Self {
         let id = self.db.symbols.intern(symbol);
+        #[expect(
+            clippy::panic,
+            reason = "documented `# Panics` contract of the test/example builder; EventInterval::new is the fallible API"
+        )]
         let iv = EventInterval::new(id, start, end)
-            // xlint::allow(no-panic-lib): documented `# Panics` contract of the test/example builder; EventInterval::new is the fallible API
             .unwrap_or_else(|e| panic!("DatabaseBuilder::interval: {e}"));
+        #[expect(
+            clippy::expect_used,
+            reason = "the builder type is only reachable via sequence(), which pushes the entry this unwraps"
+        )]
         self.db
             .sequences
             .last_mut()
-            // xlint::allow(no-panic-lib): the builder type is only reachable via sequence(), which pushes the entry this unwraps
             .expect("sequence() was called")
             .push(iv);
         self
@@ -232,13 +238,19 @@ impl SequenceBuilder<'_> {
 
     /// Appends an already-interned interval.
     pub fn raw(self, symbol: SymbolId, start: Time, end: Time) -> Self {
+        #[expect(
+            clippy::panic,
+            reason = "documented `# Panics` contract of the test/example builder; EventInterval::new is the fallible API"
+        )]
         let iv = EventInterval::new(symbol, start, end)
-            // xlint::allow(no-panic-lib): documented `# Panics` contract of the test/example builder; EventInterval::new is the fallible API
             .unwrap_or_else(|e| panic!("DatabaseBuilder::raw: {e}"));
+        #[expect(
+            clippy::expect_used,
+            reason = "the builder type is only reachable via sequence(), which pushes the entry this unwraps"
+        )]
         self.db
             .sequences
             .last_mut()
-            // xlint::allow(no-panic-lib): the builder type is only reachable via sequence(), which pushes the entry this unwraps
             .expect("sequence() was called")
             .push(iv);
         self
@@ -293,16 +305,25 @@ impl UncertainSequenceBuilder<'_> {
     /// Panics when `start >= end` or `p` is outside `(0, 1]`.
     pub fn interval(self, symbol: &str, start: Time, end: Time, p: f64) -> Self {
         let id = self.db.symbols.intern(symbol);
+        #[expect(
+            clippy::panic,
+            reason = "documented `# Panics` contract of the test/example builder; EventInterval::new is the fallible API"
+        )]
         let iv = EventInterval::new(id, start, end)
-            // xlint::allow(no-panic-lib): documented `# Panics` contract of the test/example builder; EventInterval::new is the fallible API
             .unwrap_or_else(|e| panic!("UncertainDatabaseBuilder::interval: {e}"));
+        #[expect(
+            clippy::panic,
+            reason = "documented `# Panics` contract of the test/example builder; UncertainInterval::new is the fallible API"
+        )]
         let u = UncertainInterval::new(iv, p)
-            // xlint::allow(no-panic-lib): documented `# Panics` contract of the test/example builder; UncertainInterval::new is the fallible API
             .unwrap_or_else(|e| panic!("UncertainDatabaseBuilder::interval: {e}"));
+        #[expect(
+            clippy::expect_used,
+            reason = "the builder type is only reachable via sequence(), which pushes the entry this unwraps"
+        )]
         self.db
             .sequences
             .last_mut()
-            // xlint::allow(no-panic-lib): the builder type is only reachable via sequence(), which pushes the entry this unwraps
             .expect("sequence() was called")
             .push(u);
         self

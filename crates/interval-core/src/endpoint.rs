@@ -252,7 +252,7 @@ mod tests {
                 2 => 1,
                 4 => 2,
                 10 => 3,
-                _ => unreachable!(),
+                t => panic!("unexpected endpoint time {t}"),
             };
             assert_eq!(e.group, expected);
         }

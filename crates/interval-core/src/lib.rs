@@ -41,7 +41,6 @@
 
 pub mod allen;
 pub mod budget;
-pub mod composition;
 pub mod database;
 pub mod endpoint;
 pub mod error;
@@ -58,7 +57,6 @@ pub mod wire;
 
 pub use allen::AllenRelation;
 pub use budget::{CancellationToken, MiningBudget, Termination};
-pub use composition::{compose, is_path_consistent, RelationSet};
 pub use database::{
     DatabaseBuilder, IntervalDatabase, SequenceBuilder, UncertainDatabase,
     UncertainDatabaseBuilder, UncertainSequenceBuilder,

@@ -210,6 +210,10 @@ impl TemporalPattern {
 
     /// The arrangement pattern of a set of concrete intervals: endpoints
     /// grouped by equal timestamps, everything else abstracted away.
+    #[expect(
+        clippy::expect_used,
+        reason = "groups are built from valid intervals (start < end, every slot paired), so from_groups cannot reject them; failure is construction-invariant corruption"
+    )]
     pub fn arrangement_of(intervals: &[EventInterval]) -> Self {
         if intervals.is_empty() {
             return Self::empty();
@@ -239,7 +243,6 @@ impl TemporalPattern {
                 slot: slot as u8,
             });
         }
-        // xlint::allow(no-panic-lib): groups are built from valid intervals (start < end, every slot paired), so from_groups cannot reject them; failure is construction-invariant corruption
         Self::from_groups(groups).expect("arrangement of concrete intervals is well-formed")
     }
 
@@ -697,7 +700,10 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::needless_range_loop)] // index symmetry (i, j) vs (j, i)
+    #[expect(
+        clippy::needless_range_loop,
+        reason = "index symmetry (i, j) vs (j, i)"
+    )]
     fn relation_matrix_is_consistent() {
         let p = TemporalPattern::arrangement_of(&[iv(0, 0, 10), iv(1, 2, 5), iv(2, 5, 12)]);
         let m = p.relation_matrix();

@@ -67,7 +67,10 @@ impl SymbolTable {
         if let Some(&id) = self.index.get(name) {
             return id;
         }
-        // xlint::allow(no-panic-lib): id-space exhaustion (> 4 billion distinct symbols) is unrecoverable capacity corruption, not an input error worth a Result in every signature
+        #[expect(
+            clippy::expect_used,
+            reason = "id-space exhaustion (> 4 billion distinct symbols) is unrecoverable capacity corruption, not an input error worth a Result in every signature"
+        )]
         let id = SymbolId(u32::try_from(self.names.len()).expect("more than u32::MAX symbols"));
         self.names.push(name.to_owned());
         self.index.insert(name.to_owned(), id);

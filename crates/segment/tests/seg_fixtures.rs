@@ -14,6 +14,13 @@
 //! that silently reads old files differently will fail here first, and
 //! resealing `clean/`'s records must write its files again byte for byte.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "a test helper fails its test by panicking"
+)]
+
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 

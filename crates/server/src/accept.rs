@@ -1,8 +1,9 @@
 //! The accept loop and the in-process server handle.
 //!
 //! This module is the server crate's **only** sanctioned `thread::spawn`
-//! site (enforced by xlint's `no-raw-spawn` rule): one thread per accepted
-//! connection, plus the background server thread behind [`ServerHandle`].
+//! site (clippy's `disallowed_methods` lint rejects any other): one thread
+//! per accepted connection, plus the background server thread behind
+//! [`ServerHandle`].
 //! Every handle is retained and joined — finished connections are reaped
 //! each loop iteration, and the drain joins whatever is left, so a panic
 //! in a connection thread can never be silently detached.
@@ -37,6 +38,10 @@ pub(crate) fn run_loop(
             Ok((sock, _peer)) => {
                 shared.counters.note_connection();
                 let shared = Arc::clone(&shared);
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "one thread per connection, retained and joined at drain: the service tier's sanctioned spawn site"
+                )]
                 conns.push(thread::spawn(move || conn::serve(sock, shared)));
             }
             Err(e)
@@ -88,6 +93,10 @@ impl ServerHandle {
         let addr = server.local_addr()?;
         let token = CancellationToken::new();
         let run_token = token.clone();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the ServerHandle background thread, retained and joined: the service tier's sanctioned spawn site"
+        )]
         let thread = thread::spawn(move || server.run(run_token));
         Ok(ServerHandle {
             addr,

@@ -482,6 +482,10 @@ fn wait_idle(worker: &RefreshWorker) -> Result<(), String> {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "tests drive a session from threads of their own"
+)]
 mod tests {
     use super::*;
 

@@ -3,6 +3,13 @@
 //! and the multi-tenant isolation guarantee (one misbehaving connection
 //! never disturbs another stream).
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "a test helper fails its test by panicking"
+)]
+
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 
@@ -209,15 +216,41 @@ fn protocol_errors_keep_the_connection_alive() {
     c.send_raw("\n");
     assert_eq!(c.read_line(), "ERR line exceeds the 65536-byte limit");
 
+    // Junk the parser rejects gets exactly one ERR line each and leaves
+    // framing intact: a CR inside a line is not a line break, so the reply
+    // read after the junk is the QUERY's own.
+    let junk = [
+        (
+            "QUÉRY live",
+            r#"ERR unknown command "QUÉRY" (did you mean QUERY?)"#,
+        ),
+        (
+            "PING\rPING",
+            r#"ERR malformed PING: takes no arguments, got "PING""#,
+        ),
+        (
+            "%%% sixty printable characters, spaces inside, and no verb %",
+            r#"ERR unknown command "%%%""#,
+        ),
+        ("  no   such   verb  ", r#"ERR unknown command "no""#),
+    ];
+    for (line, expected) in junk {
+        assert_eq!(c.roundtrip(line), vec![expected.to_owned()], "{line:?}");
+    }
+    assert_eq!(
+        c.roundtrip("QUERY live"),
+        ["BEGIN 0 revision=0 watermark=- sequences=0", "END"]
+    );
+
     // Still healthy, still parsing.
     assert_eq!(c.ok("HEALTH"), "OK healthy streams=1 draining=false");
     assert_eq!(c.ok("PING"), "OK pong");
     let counters = handle.shutdown().expect("drain").counters;
-    // Three lines never parse into a command; every `ERR` but the
-    // rejected event is a protocol error, oversize line included; the
-    // ghost batch's two payload events count as rejected.
-    assert_eq!(counters.commands, 20);
-    assert_eq!(counters.protocol_errors, 17);
+    // Seven lines never parse into a command; every `ERR` but the
+    // rejected event is a protocol error, oversize line and junk included;
+    // the ghost batch's two payload events count as rejected.
+    assert_eq!(counters.commands, 21);
+    assert_eq!(counters.protocol_errors, 21);
     assert_eq!(counters.events_accepted, 1);
     assert_eq!(counters.events_rejected, 3);
 }

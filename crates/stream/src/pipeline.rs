@@ -343,8 +343,10 @@ impl<F: WalFs> Pipeline<F> {
         })
     }
 
-    // u64::is_multiple_of needs Rust 1.87; the workspace MSRV is 1.75.
-    #[allow(clippy::manual_is_multiple_of)]
+    #[expect(
+        clippy::manual_is_multiple_of,
+        reason = "u64::is_multiple_of needs Rust 1.87; the `%` form builds on older toolchains"
+    )]
     fn is_due(&self) -> bool {
         match self.trigger {
             Trigger::Every(n) => self.watermarks % n.max(1) == 0,

@@ -258,6 +258,10 @@ impl SnapshotCell {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "tests publish and read snapshots from threads of their own"
+)]
 mod tests {
     use super::*;
 

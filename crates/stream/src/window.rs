@@ -27,6 +27,10 @@
 //! [`IncrementalMiner`](crate::IncrementalMiner) re-mines only those
 //! partitions; see `docs/ALGORITHMS.md` for why that is sufficient.
 
+// A hot-path file: no hash or tree maps (see `disallowed-types` in
+// clippy.toml).
+#![deny(clippy::disallowed_types)]
+
 use std::sync::Arc;
 
 use interval_core::{
@@ -84,8 +88,8 @@ fn assoc_entry<V: Default>(list: &mut Vec<(SymbolId, V)>, key: SymbolId) -> &mut
 /// The per-sequence symbol alphabet is tiny (a handful of symbols out of a
 /// possibly large universe), so the per-symbol tables are `SymbolId`-sorted
 /// flat vectors — binary-searched on access, iterated in deterministic
-/// order, no hashing on the refresh path (this file is on the hot-path
-/// list of `cargo run -p xlint`).
+/// order, no hashing on the refresh path (this file denies
+/// `clippy::disallowed_types`).
 #[derive(Debug, Default)]
 struct SeqState {
     /// Completed intervals currently in the window (insertion order; sorted

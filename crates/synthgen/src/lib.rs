@@ -196,6 +196,10 @@ impl QuestGenerator {
         let certain = self.generate();
         let mut rng = SplitMix64::new(self.config.seed ^ 0xdead_beef_cafe_f00d);
         let (lo, hi) = uncertainty.probability_range;
+        #[expect(
+            clippy::expect_used,
+            reason = "p is sampled from (0, 1] by construction two lines up; a reject is generator corruption"
+        )]
         let sequences = certain
             .sequences()
             .iter()
@@ -207,7 +211,6 @@ impl QuestGenerator {
                         } else {
                             rng.range(lo.max(f64::MIN_POSITIVE)..=hi.min(1.0))
                         };
-                        // xlint::allow(no-panic-lib): p is sampled from (0, 1] by construction two lines up; a reject is generator corruption
                         UncertainInterval::new(iv, p).expect("probability in range")
                     })
                     .collect::<UncertainSequence>()

@@ -30,6 +30,10 @@
 //! streaming refresh that re-mines a few dirty roots of a large window pays
 //! for the sequences those roots occur in, not for the window.
 
+// A hot-path file: no hash or tree maps (see `disallowed-types` in
+// clippy.toml).
+#![deny(clippy::disallowed_types)]
+
 use interval_core::{EndpointSeq, IntervalDatabase, IntervalSequence, SymbolId};
 use std::sync::Arc;
 

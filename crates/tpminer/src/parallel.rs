@@ -43,6 +43,10 @@
 //! workers and cancelling the token stops all of them. A worker
 //! whose engine trips the budget stops claiming roots.
 
+// A hot-path file: no hash or tree maps (see `disallowed-types` in
+// clippy.toml).
+#![deny(clippy::disallowed_types)]
+
 use crate::config::MinerConfig;
 use crate::index::DbIndex;
 use crate::miner::MiningResult;
@@ -246,7 +250,10 @@ impl ParallelTpMiner {
         index: &DbIndex,
         mut claim: impl FnMut() -> Option<SymbolId>,
     ) -> ShardOutcome {
-        #[allow(unused_mut)]
+        #[allow(
+            unused_mut,
+            reason = "with fault injection compiled in, this binding moves into the poisoned rebinding below"
+        )]
         let mut engine = SearchEngine::new(index, self.config).with_budget(self.budget.clone());
         #[cfg(any(test, feature = "fault-injection"))]
         let mut engine = match self.fault {

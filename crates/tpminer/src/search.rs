@@ -37,6 +37,10 @@
 //! bindings)` and deduplicated, and candidates are still counted once per
 //! sequence and sorted in `Ext` order.
 
+// A hot-path file: no hash or tree maps (see `disallowed-types` in
+// clippy.toml).
+#![deny(clippy::disallowed_types)]
+
 use crate::config::MinerConfig;
 use crate::index::{DbIndex, SeqIndex};
 use crate::stats::MinerStats;
@@ -566,8 +570,11 @@ impl<'a> SearchEngine<'a> {
         self.stats.peak_node_states = self.stats.peak_node_states.max(node_states);
 
         if node.is_complete() {
+            #[expect(
+                clippy::expect_used,
+                reason = "enumeration emits only canonical well-formed prefixes; failure here is a search-invariant break, not recoverable input"
+            )]
             let pattern = TemporalPattern::from_groups(node.groups.clone())
-                // xlint::allow(no-panic-lib): enumeration emits only canonical well-formed prefixes; failure here is a search-invariant break, not recoverable input
                 .expect("generated prefixes are well-formed");
             debug_assert_eq!(
                 pattern.groups(),
@@ -607,6 +614,10 @@ impl<'a> SearchEngine<'a> {
     /// Decrements the armed fault countdown, panicking when it reaches the
     /// poisoned expansion.
     #[cfg(any(test, feature = "fault-injection"))]
+    #[expect(
+        clippy::panic,
+        reason = "the test-only fault hook panics on purpose to exercise worker isolation"
+    )]
     fn fault_tick(&mut self) {
         if let Some(countdown) = self.fault_countdown.as_mut() {
             if *countdown <= 1 {
@@ -1134,8 +1145,10 @@ impl<'a> SearchEngine<'a> {
 }
 
 /// Inverse of the dense extension-code layout used by [`GatherScratch`].
-// usize::is_multiple_of needs Rust 1.87; the workspace MSRV is 1.75.
-#[allow(clippy::manual_is_multiple_of)]
+#[expect(
+    clippy::manual_is_multiple_of,
+    reason = "usize::is_multiple_of needs Rust 1.87; the `%` form builds on older toolchains"
+)]
 fn decode_ext(code: usize) -> Ext {
     if code < FINISH_CODES {
         let k = (code / 2) as u8;
@@ -1156,6 +1169,10 @@ fn decode_ext(code: usize) -> Ext {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "the tests check results against hash sets; the hash-free rule covers the search itself"
+)]
 mod tests {
     use super::*;
     use crate::TpMiner;

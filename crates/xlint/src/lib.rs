@@ -1,17 +1,17 @@
 //! `xlint` — first-party static analysis for this workspace.
 //!
-//! The engine's two hardest-won properties are invisible to the type
-//! system: the hot path is hash-free (PR 3's ~3.6x) and the library
-//! crates are panic-free by contract (PR 1's budgets and worker
-//! isolation). `xlint` pins those invariants — plus unsafe hygiene,
-//! thread-spawn discipline and clock confinement — as lint rules that run
-//! on every commit, with per-line `// xlint::allow(<rule>): <reason>`
-//! escape hatches that force every exception to carry a justification.
+//! rustc and clippy enforce the per-file invariants: panic-free library
+//! crates, the hash-free hot path, unsafe hygiene and thread and clock
+//! confinement (see the root `Cargo.toml` and `clippy.toml`). What they
+//! cannot express are invariants *between* files, and `xlint` pins those
+//! as four semantic rules — `budget-poll`, `lock-discipline`,
+//! `wire-drift` and `exit-code-registry` — over a cross-crate item model,
+//! with per-line `// xlint::allow(<rule>): <reason>` escape hatches that
+//! force every exception to carry a justification.
 //!
-//! The crate is pure `std` (zero dependencies), so it builds and behaves
-//! identically under the offline dev-stub environment and in networked
-//! CI. See `CONTRIBUTING.md` ("Lint policy") for the rule catalogue and
-//! `DESIGN.md` for why each invariant exists.
+//! The crate is pure `std` (zero dependencies). See `CONTRIBUTING.md`
+//! ("Lint policy") for the rule catalogue and `DESIGN.md` for why each
+//! invariant exists.
 
 #![forbid(unsafe_code)]
 
@@ -24,71 +24,80 @@ pub mod source;
 
 use model::Model;
 use report::Report;
-use rules::{apply_allows, check_file, Violation};
-use source::{CrateKind, FileContext};
+use rules::apply_allows;
+use source::FileContext;
 use std::collections::HashSet;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// Crates whose binaries legitimately print, exit, read clocks and unwrap
-/// at the top level: the CLI, the bench harness, and xlint itself.
-/// Everything else under `crates/` is held to the library contract.
-pub const TOOL_CRATES: &[&str] = &["cli", "bench", "xlint"];
-
 /// Lints every workspace source file under `root` and returns the report.
 ///
 /// Coverage is the `src/` tree of each member crate plus the umbrella
 /// crate's `src/`. Integration tests, benches, examples and fixtures are
-/// deliberately out of scope: the rules police production code, and test
-/// code is exempt from them anyway.
-///
-/// A workspace run is the only mode that activates the semantic tier
-/// (`budget-poll`, `lock-discipline`, `wire-drift`,
-/// `exit-code-registry`): those rules resolve call edges across crates,
-/// so a partial file set would make them guess. Explicit-file mode
-/// ([`run_paths`]) stays per-file.
+/// deliberately out of scope: the rules police production code. The
+/// rules resolve call edges across crates, so the whole set is always
+/// analyzed together.
 pub fn run_workspace(root: &Path) -> io::Result<Report> {
-    let mut files: Vec<(String, String, CrateKind, PathBuf)> = Vec::new();
-
-    // Umbrella crate.
-    collect_rs(&root.join("src"), &mut |p| {
-        files.push(("ptpminer".into(), CrateKind::Lib, p).into_named(root));
-    })?;
-
-    // Member crates.
-    let crates_dir = root.join("crates");
-    let mut members: Vec<PathBuf> = fs::read_dir(&crates_dir)?
+    let mut files: Vec<PathBuf> = Vec::new();
+    collect_rs(&root.join("src"), &mut files)?;
+    let mut members: Vec<PathBuf> = fs::read_dir(root.join("crates"))?
         .filter_map(|e| e.ok().map(|e| e.path()))
         .filter(|p| p.join("Cargo.toml").is_file())
         .collect();
     members.sort();
     for member in members {
-        let name = member
-            .file_name()
-            .and_then(|n| n.to_str())
-            .unwrap_or_default()
-            .to_string();
-        let kind = if TOOL_CRATES.contains(&name.as_str()) {
-            CrateKind::Tool
-        } else {
-            CrateKind::Lib
-        };
-        collect_rs(&member.join("src"), &mut |p| {
-            files.push((name.clone(), kind, p).into_named(root));
-        })?;
+        collect_rs(&member.join("src"), &mut files)?;
     }
 
+    let mut ctxs: Vec<FileContext> = Vec::with_capacity(files.len());
+    for abs in files {
+        let rel = abs.strip_prefix(root).unwrap_or(&abs);
+        // Normalize separators so the rules' path anchors match on every host.
+        let rel = rel.to_string_lossy().replace('\\', "/");
+        ctxs.push(FileContext::new(rel, fs::read_to_string(&abs)?));
+    }
     let docs = fs::read_to_string(root.join("docs").join("SERVER.md")).ok();
-    run_files(files, docs, true)
+    Ok(lint_files(ctxs, docs.as_deref()))
+}
+
+/// Runs every rule over `ctxs` as one workspace and applies each file's
+/// allow directives. `docs` is the text of `docs/SERVER.md`, which
+/// `wire-drift` checks the verb table against.
+pub fn lint_files(mut ctxs: Vec<FileContext>, docs: Option<&str>) -> Report {
+    ctxs.sort_by(|a, b| a.path.cmp(&b.path));
+    // Each violation is routed back to its file, so one apply_allows pass
+    // per file sees every finding there (this keeps unused-allow exact).
+    let refs: Vec<&FileContext> = ctxs.iter().collect();
+    let model = Model::build(&refs);
+    let mut raw = vec![Vec::new(); ctxs.len()];
+    for v in semantic::check_workspace(&refs, &model, docs) {
+        if let Some(i) = ctxs.iter().position(|c| c.path == v.file) {
+            raw[i].push(v);
+        }
+    }
+
+    let mut violations = Vec::new();
+    let mut suppressed = 0usize;
+    for (ctx, raw) in ctxs.iter().zip(raw) {
+        let (mut v, s) = apply_allows(ctx, raw);
+        violations.append(&mut v);
+        suppressed += s;
+    }
+    violations.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
+    Report {
+        checked_files: ctxs.len(),
+        suppressed,
+        violations,
+    }
 }
 
 /// Lints only the files that differ from `base` (`git diff --name-only
 /// <base>`), for fast pre-commit runs. The whole workspace is still
-/// *analyzed* — the semantic tier needs every call edge — but only
-/// violations (including unused-allow reports) in changed files are
-/// kept, so `checked_files`/`suppressed` describe the full analysis
-/// while the violation list is scoped to the diff.
+/// *analyzed* — the rules need every call edge — but only violations
+/// (including unused-allow reports) in changed files are kept, so
+/// `checked_files`/`suppressed` describe the full analysis while the
+/// violation list is scoped to the diff.
 pub fn run_changed(root: &Path, base: &str) -> io::Result<Report> {
     let output = std::process::Command::new("git")
         .args(["diff", "--name-only", base])
@@ -110,89 +119,9 @@ pub fn run_changed(root: &Path, base: &str) -> io::Result<Report> {
     Ok(report)
 }
 
-/// Lints an explicit file list (used by the fixture tests and the CLI's
-/// positional-arguments mode). Crate name and kind are derived from the
-/// path the same way the workspace walk does. Only the per-file tier
-/// runs: semantic rules need whole-workspace call edges (see
-/// [`run_workspace`]).
-pub fn run_paths(root: &Path, paths: &[PathBuf]) -> io::Result<Report> {
-    let files = paths
-        .iter()
-        .map(|p| {
-            let (name, kind) = classify(root, p);
-            (name, kind, p.clone()).into_named(root)
-        })
-        .collect();
-    run_files(files, None, false)
-}
-
-fn run_files(
-    mut files: Vec<(String, String, CrateKind, PathBuf)>,
-    docs: Option<String>,
-    semantic_tier: bool,
-) -> io::Result<Report> {
-    files.sort_by(|a, b| a.0.cmp(&b.0));
-    let checked_files = files.len();
-    let mut ctxs: Vec<FileContext> = Vec::with_capacity(files.len());
-    for (rel, crate_name, kind, abs) in files {
-        let src = fs::read_to_string(&abs)?;
-        ctxs.push(FileContext::new(rel, crate_name, kind, src));
-    }
-
-    // Per-file tier, then the semantic tier routed back to the owning
-    // file so one apply_allows pass per file sees the combined set (this
-    // is what keeps unused-allow reporting exact for semantic allows).
-    let mut raw: Vec<Vec<Violation>> = ctxs.iter().map(check_file).collect();
-    if semantic_tier {
-        let refs: Vec<&FileContext> = ctxs.iter().collect();
-        let model = Model::build(&refs);
-        for v in semantic::check_workspace(&refs, &model, docs.as_deref()) {
-            if let Some(i) = ctxs.iter().position(|c| c.path == v.file) {
-                raw[i].push(v);
-            }
-        }
-    }
-
-    let mut violations = Vec::new();
-    let mut suppressed = 0usize;
-    for (ctx, raw) in ctxs.iter().zip(raw) {
-        let (mut v, s) = apply_allows(ctx, raw);
-        violations.append(&mut v);
-        suppressed += s;
-    }
-    violations.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
-    Ok(Report {
-        checked_files,
-        suppressed,
-        violations,
-    })
-}
-
-/// Derives (crate name, kind) from a path, for explicit-file mode.
-fn classify(root: &Path, path: &Path) -> (String, CrateKind) {
-    let rel = rel_path(root, path);
-    let name = rel
-        .strip_prefix("crates/")
-        .and_then(|r| r.split('/').next())
-        .unwrap_or("ptpminer")
-        .to_string();
-    let kind = if TOOL_CRATES.contains(&name.as_str()) {
-        CrateKind::Tool
-    } else {
-        CrateKind::Lib
-    };
-    (name, kind)
-}
-
-fn rel_path(root: &Path, path: &Path) -> String {
-    let rel = path.strip_prefix(root).unwrap_or(path);
-    // Normalize separators so rule file lists match on every host.
-    rel.to_string_lossy().replace('\\', "/")
-}
-
 /// Recursively collects `.rs` files under `dir` (no-op if it is absent),
 /// in sorted order for deterministic reports.
-fn collect_rs(dir: &Path, push: &mut impl FnMut(PathBuf)) -> io::Result<()> {
+fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     if !dir.is_dir() {
         return Ok(());
     }
@@ -202,42 +131,10 @@ fn collect_rs(dir: &Path, push: &mut impl FnMut(PathBuf)) -> io::Result<()> {
     entries.sort();
     for entry in entries {
         if entry.is_dir() {
-            collect_rs(&entry, push)?;
+            collect_rs(&entry, out)?;
         } else if entry.extension().is_some_and(|e| e == "rs") {
-            push(entry);
+            out.push(entry);
         }
     }
     Ok(())
-}
-
-/// Small helper to carry (crate, kind, abs path) into (rel, crate, kind,
-/// abs) tuples without repeating the relative-path derivation.
-trait IntoNamed {
-    fn into_named(self, root: &Path) -> (String, String, CrateKind, PathBuf);
-}
-
-impl IntoNamed for (String, CrateKind, PathBuf) {
-    fn into_named(self, root: &Path) -> (String, String, CrateKind, PathBuf) {
-        let (name, kind, path) = self;
-        (rel_path(root, &path), name, kind, path)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn classify_derives_crate_and_kind_from_path() {
-        let root = Path::new("/ws");
-        let (name, kind) = classify(root, Path::new("/ws/crates/tpminer/src/search.rs"));
-        assert_eq!(name, "tpminer");
-        assert_eq!(kind, CrateKind::Lib);
-        let (name, kind) = classify(root, Path::new("/ws/crates/cli/src/main.rs"));
-        assert_eq!(name, "cli");
-        assert_eq!(kind, CrateKind::Tool);
-        let (name, kind) = classify(root, Path::new("/ws/src/lib.rs"));
-        assert_eq!(name, "ptpminer");
-        assert_eq!(kind, CrateKind::Lib);
-    }
 }

@@ -1,15 +1,16 @@
 //! CLI entry point:
-//! `cargo run -p xlint [-- --json|--sarif] [--changed[=BASE]] [--root DIR] [FILES…]`.
+//! `cargo run -p xlint [-- --json|--sarif] [--changed[=BASE]] [--root DIR]`.
 //!
-//! With no file arguments the whole workspace is linted (both the
-//! per-file and semantic tiers). `--changed` analyzes the workspace but
+//! Lints the whole workspace. `--changed` analyzes the workspace but
 //! reports only violations in files differing from BASE (default HEAD).
-//! Explicit FILES run the per-file tier only — semantic rules need every
-//! call edge. Exit codes: `0` clean, `1` unsuppressed violations, `2`
-//! usage or I/O error.
+//! Exit codes: `0` clean, `1` unsuppressed violations, `2` usage or I/O
+//! error.
 
-// This is the lint tool's own terminal output, not library code.
-#![allow(clippy::print_stdout, clippy::print_stderr)]
+#![allow(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "the lint tool's own terminal output"
+)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -31,7 +32,6 @@ fn main() -> ExitCode {
     let mut format = Format::Human;
     let mut root = PathBuf::from(".");
     let mut changed: Option<String> = None;
-    let mut files: Vec<PathBuf> = Vec::new();
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -48,13 +48,12 @@ fn main() -> ExitCode {
             },
             "--help" | "-h" => {
                 println!(
-                    "usage: xlint [--json|--sarif] [--changed[=BASE]] [--root DIR] [FILES…]\n\n\
+                    "usage: xlint [--json|--sarif] [--changed[=BASE]] [--root DIR]\n\n\
                      Lints the workspace against the rule catalogue in CONTRIBUTING.md.\n\
                      Modes:\n\
-                     \x20 (default)        whole workspace, per-file + semantic rules\n\
+                     \x20 (default)        the whole workspace\n\
                      \x20 --changed[=BASE] analyze everything, report only files in\n\
                      \x20                  `git diff --name-only BASE` (default HEAD)\n\
-                     \x20 FILES…           just those files, per-file rules only\n\
                      Output: --json (stable schema) or --sarif (GitHub code scanning).\n\
                      Exit codes: 0 clean, 1 violations, 2 usage/IO error."
                 );
@@ -63,18 +62,13 @@ fn main() -> ExitCode {
             _ if arg.starts_with("--changed=") => {
                 changed = Some(arg["--changed=".len()..].to_string());
             }
-            _ if arg.starts_with('-') => {
-                eprintln!("xlint: unknown flag `{arg}` (try --help)");
+            _ => {
+                eprintln!("xlint: unknown argument `{arg}` (try --help)");
                 return ExitCode::from(EXIT_USAGE);
             }
-            _ => files.push(PathBuf::from(arg)),
         }
     }
 
-    if changed.is_some() && !files.is_empty() {
-        eprintln!("xlint: --changed and explicit FILES are mutually exclusive");
-        return ExitCode::from(EXIT_USAGE);
-    }
     if !root.join("Cargo.toml").is_file() {
         eprintln!(
             "xlint: {} does not look like a workspace root (no Cargo.toml); \
@@ -84,12 +78,9 @@ fn main() -> ExitCode {
         return ExitCode::from(EXIT_USAGE);
     }
 
-    let result = if let Some(base) = changed {
-        xlint::run_changed(&root, &base)
-    } else if files.is_empty() {
-        xlint::run_workspace(&root)
-    } else {
-        xlint::run_paths(&root, &files)
+    let result = match changed {
+        Some(base) => xlint::run_changed(&root, &base),
+        None => xlint::run_workspace(&root),
     };
     let report = match result {
         Ok(report) => report,

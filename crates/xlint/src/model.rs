@@ -1,8 +1,7 @@
 //! A lightweight cross-crate item model built on the lexer.
 //!
-//! The per-file rules in [`rules`](crate::rules) see one token stream at a
-//! time; the semantic rules in [`semantic`](crate::semantic) need to know
-//! *what calls what* across the whole workspace — a loop in
+//! The rules in [`semantic`](crate::semantic) need to know *what calls
+//! what* across the whole workspace — a loop in
 //! `tpminer::search` is only budget-safe because a function three call
 //! edges away polls the meter. This module extracts just enough structure
 //! to answer those questions, still zero-dependency and token-driven:
@@ -18,7 +17,7 @@
 //!   real edge.
 //!
 //! Test-gated items (`#[cfg(test)]`, `#[test]`) are indexed but marked,
-//! so rules can skip them the same way the per-file tier does.
+//! so rules can skip them.
 
 use crate::lexer::TokenKind;
 use crate::source::FileContext;
@@ -722,10 +721,9 @@ fn parse_use_tree(ctx: &FileContext, start: usize, public: bool) -> (Vec<UseItem
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::source::CrateKind;
 
     fn ctx(path: &str, src: &str) -> FileContext {
-        FileContext::new(path.into(), "demo".into(), CrateKind::Lib, src.into())
+        FileContext::new(path.into(), src.into())
     }
 
     fn model(src: &str) -> Model {

@@ -8,7 +8,7 @@
 //!   "checked_files": 42,
 //!   "suppressed": 3,
 //!   "violations": [
-//!     {"file": "crates/x/src/a.rs", "line": 7, "rule": "no-panic-lib",
+//!     {"file": "crates/x/src/a.rs", "line": 7, "rule": "budget-poll",
 //!      "message": "…"}
 //!   ]
 //! }
@@ -187,17 +187,17 @@ mod tests {
             violations: vec![Violation {
                 file: "crates/x/src/a.rs".into(),
                 line: 7,
-                rule: "no-panic-lib",
-                message: "it panics".into(),
+                rule: "exit-code-registry",
+                message: "it exits 9".into(),
             }],
         };
         assert!(!r.is_clean());
         let human = r.render_human();
-        assert!(human.contains("crates/x/src/a.rs:7: [no-panic-lib] it panics"));
+        assert!(human.contains("crates/x/src/a.rs:7: [exit-code-registry] it exits 9"));
         assert!(human.contains("2 suppressed"));
         let json = r.render_json();
         assert!(json.contains("\"line\": 7"));
-        assert!(json.contains("\"rule\": \"no-panic-lib\""));
+        assert!(json.contains("\"rule\": \"exit-code-registry\""));
     }
 
     #[test]

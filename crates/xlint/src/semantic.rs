@@ -1,9 +1,6 @@
-//! The cross-crate semantic rule tier.
-//!
-//! The per-file rules in [`rules`](crate::rules) check what one token
-//! stream shows; the rules here check invariants that only exist *between*
-//! files, using the [`Model`]'s item and call-edge
-//! index:
+//! The rules: invariants that only exist *between* files, checked with
+//! the [`Model`]'s item and call-edge index. Per-file invariants are
+//! rustc and clippy lints (root `Cargo.toml` and `clippy.toml`).
 //!
 //! | rule | invariant |
 //! |------|-----------|
@@ -17,14 +14,12 @@
 //! which errs in the safe direction for `budget-poll` (a loop is more
 //! easily credited with reaching a poll) and is kept honest for
 //! `lock-discipline` by scoping which primitives count as blocking.
-//! Violations report into the same [`Violation`] stream as the per-file
-//! tier, so `xlint::allow` suppression and the fixture machinery apply
-//! unchanged.
+//! Violations go through [`apply_allows`](crate::rules::apply_allows),
+//! so each can be suppressed by a reasoned `xlint::allow`.
 //!
-//! The tier needs the whole workspace to resolve call edges, so it runs
+//! The rules need the whole workspace to resolve call edges, so they run
 //! from [`run_workspace`](crate::run_workspace) (and `--changed`, which
-//! analyzes everything and filters the report); explicit-file mode stays
-//! per-file only.
+//! analyzes everything and filters the report).
 
 use crate::lexer::TokenKind;
 use crate::model::Model;
@@ -737,18 +732,13 @@ fn is_numeric_call(ctx: &FileContext, pos: usize) -> bool {
 mod tests {
     use super::*;
     use crate::model::Model;
-    use crate::source::{CrateKind, FileContext};
-
-    fn ctx(path: &str, src: &str) -> FileContext {
-        let name = path
-            .strip_prefix("crates/")
-            .and_then(|r| r.split('/').next())
-            .unwrap_or("demo");
-        FileContext::new(path.into(), name.into(), CrateKind::Lib, src.into())
-    }
+    use crate::source::FileContext;
 
     fn check(files: &[(&str, &str)], docs: Option<&str>) -> Vec<Violation> {
-        let ctxs: Vec<FileContext> = files.iter().map(|(p, s)| ctx(p, s)).collect();
+        let ctxs: Vec<FileContext> = files
+            .iter()
+            .map(|(p, s)| FileContext::new((*p).into(), (*s).into()))
+            .collect();
         let refs: Vec<&FileContext> = ctxs.iter().collect();
         let model = Model::build(&refs);
         check_workspace(&refs, &model, docs)

@@ -5,16 +5,6 @@
 use crate::lexer::{lex, Token, TokenKind};
 use std::collections::BTreeSet;
 
-/// How a crate is classified for rule purposes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CrateKind {
-    /// Library crate: the panic-free contract and clock confinement apply.
-    Lib,
-    /// Binary / tooling crate (`cli`, `bench`, `xlint`): exempt from
-    /// library-only rules, still subject to structural ones.
-    Tool,
-}
-
 /// A parsed `// xlint::allow(<rule>): <reason>` directive.
 #[derive(Debug, Clone)]
 pub struct AllowDirective {
@@ -33,10 +23,6 @@ pub struct AllowDirective {
 pub struct FileContext {
     /// Workspace-relative path with forward slashes (stable across hosts).
     pub path: String,
-    /// Name of the owning crate (directory name under `crates/`).
-    pub crate_name: String,
-    /// Library or tool crate.
-    pub kind: CrateKind,
     /// The raw source text.
     pub src: String,
     /// All tokens, comments included.
@@ -47,12 +33,10 @@ pub struct FileContext {
     test_regions: Vec<(usize, usize)>,
     /// Allow directives parsed out of comments.
     pub allows: Vec<AllowDirective>,
-    /// Lines that carry at least one non-comment token.
-    code_lines: BTreeSet<usize>,
 }
 
 impl FileContext {
-    pub fn new(path: String, crate_name: String, kind: CrateKind, src: String) -> Self {
+    pub fn new(path: String, src: String) -> Self {
         let tokens = lex(&src);
         let code: Vec<usize> = tokens
             .iter()
@@ -71,14 +55,11 @@ impl FileContext {
         let allows = parse_allows(&src, &tokens, &code_lines);
         Self {
             path,
-            crate_name,
-            kind,
             src,
             tokens,
             code,
             test_regions,
             allows,
-            code_lines,
         }
     }
 
@@ -99,16 +80,6 @@ impl FileContext {
     /// The code token following `code[pos]`, if any.
     pub fn next_code(&self, pos: usize) -> Option<usize> {
         self.code.get(pos + 1).copied()
-    }
-
-    /// The code token preceding `code[pos]`, if any.
-    pub fn prev_code(&self, pos: usize) -> Option<usize> {
-        pos.checked_sub(1).map(|p| self.code[p])
-    }
-
-    /// Whether any non-comment token sits on `line`.
-    pub fn line_has_code(&self, line: usize) -> bool {
-        self.code_lines.contains(&line)
     }
 }
 
@@ -275,12 +246,7 @@ mod tests {
     use super::*;
 
     fn ctx(src: &str) -> FileContext {
-        FileContext::new(
-            "crates/demo/src/lib.rs".into(),
-            "demo".into(),
-            CrateKind::Lib,
-            src.into(),
-        )
+        FileContext::new("crates/demo/src/lib.rs".into(), src.into())
     }
 
     #[test]
@@ -327,17 +293,17 @@ mod tests {
     #[test]
     fn trailing_allow_targets_its_own_line() {
         let src =
-            "let x = f(); // xlint::allow(no-panic-lib): builder misuse is a programming error\n";
+            "let x = f(); // xlint::allow(budget-poll): builder misuse is a programming error\n";
         let c = ctx(src);
         assert_eq!(c.allows.len(), 1);
-        assert_eq!(c.allows[0].rule, "no-panic-lib");
+        assert_eq!(c.allows[0].rule, "budget-poll");
         assert_eq!(c.allows[0].target_line, 1);
         assert!(c.allows[0].reason.contains("programming error"));
     }
 
     #[test]
     fn standalone_allow_targets_next_code_line() {
-        let src = "// xlint::allow(hot-path-hash): cold config path\n// xlint::allow(no-panic-lib): second rule stacks\nlet m = HashMap::new();\n";
+        let src = "// xlint::allow(lock-discipline): cold config path\n// xlint::allow(budget-poll): second rule stacks\nlet m = HashMap::new();\n";
         let c = ctx(src);
         assert_eq!(c.allows.len(), 2);
         assert_eq!(c.allows[0].target_line, 3);
@@ -346,7 +312,7 @@ mod tests {
 
     #[test]
     fn allow_without_reason_is_kept_but_empty() {
-        let src = "// xlint::allow(no-panic-lib)\nlet x = f();\n";
+        let src = "// xlint::allow(budget-poll)\nlet x = f();\n";
         let c = ctx(src);
         assert_eq!(c.allows.len(), 1);
         assert!(c.allows[0].reason.is_empty());
@@ -354,7 +320,7 @@ mod tests {
 
     #[test]
     fn directive_inside_string_is_ignored() {
-        let src = "let s = \"xlint::allow(no-panic-lib): nope\";\n";
+        let src = "let s = \"xlint::allow(budget-poll): nope\";\n";
         let c = ctx(src);
         assert!(c.allows.is_empty());
     }

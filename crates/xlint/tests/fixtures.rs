@@ -1,34 +1,26 @@
 //! End-to-end rule tests over the files in `fixtures/`.
 //!
-//! Each fixture carries both a violating site and a suppressed
-//! (`xlint::allow` + reason) site for one rule. The fixtures are checked
-//! through [`FileContext`] under a synthetic workspace path, because
-//! several rules key on the file's location (hot-path list, `lib.rs`
-//! gate) rather than its content alone.
+//! Each rule has a violating fixture and a suppressed (`xlint::allow` +
+//! reason) one. The fixtures are checked as a miniature workspace under
+//! synthetic paths, because the rules key on a file's location (the
+//! mining-path files, the protocol definition, the exit-code registry)
+//! rather than its content alone.
+
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "a test helper fails its test by panicking"
+)]
 
 use std::fs;
 use std::path::Path;
-use xlint::model::Model;
-use xlint::rules::{apply_allows, check_file, Violation};
-use xlint::semantic;
-use xlint::source::{CrateKind, FileContext};
-
-/// Lints `fixtures/<fixture>` as if it lived at `path` in a crate of the
-/// given kind, returning surviving violations and the suppressed count.
-fn lint(fixture: &str, path: &str, kind: CrateKind) -> (Vec<Violation>, usize) {
-    let file = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("fixtures")
-        .join(fixture);
-    let src = fs::read_to_string(&file)
-        .unwrap_or_else(|e| panic!("fixture {} unreadable: {e}", file.display()));
-    let ctx = FileContext::new(path.into(), "fixture".into(), kind, src);
-    apply_allows(&ctx, check_file(&ctx))
-}
+use xlint::rules::Violation;
+use xlint::source::FileContext;
 
 /// Lints a set of fixtures as a miniature workspace: each fixture lands
-/// at its synthetic workspace `path`, the item model is built over the
-/// whole set, and both the per-file and semantic tiers run — mirroring
-/// `run_workspace` — with allows applied per owning file.
+/// at its synthetic workspace `path` and the set goes through
+/// [`xlint::lint_files`], as `run_workspace` sends the real one.
 fn lint_workspace(files: &[(&str, &str)], docs: Option<&str>) -> (Vec<Violation>, usize) {
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures");
     let ctxs: Vec<FileContext> = files
@@ -36,248 +28,15 @@ fn lint_workspace(files: &[(&str, &str)], docs: Option<&str>) -> (Vec<Violation>
         .map(|(fixture, path)| {
             let src = fs::read_to_string(dir.join(fixture))
                 .unwrap_or_else(|e| panic!("fixture {fixture} unreadable: {e}"));
-            let name = path
-                .strip_prefix("crates/")
-                .and_then(|r| r.split('/').next())
-                .unwrap_or("fixture");
-            let kind = if xlint::TOOL_CRATES.contains(&name) {
-                CrateKind::Tool
-            } else {
-                CrateKind::Lib
-            };
-            FileContext::new((*path).into(), name.into(), kind, src)
+            FileContext::new((*path).into(), src)
         })
         .collect();
-    let refs: Vec<&FileContext> = ctxs.iter().collect();
-    let model = Model::build(&refs);
-    let mut raw: Vec<Vec<Violation>> = refs.iter().map(|c| check_file(c)).collect();
-    for v in semantic::check_workspace(&refs, &model, docs) {
-        if let Some(i) = ctxs.iter().position(|c| c.path == v.file) {
-            raw[i].push(v);
-        }
-    }
-    let mut out = Vec::new();
-    let mut suppressed = 0usize;
-    for (ctx, raw) in ctxs.iter().zip(raw) {
-        let (mut v, s) = apply_allows(ctx, raw);
-        out.append(&mut v);
-        suppressed += s;
-    }
-    out.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
-    (out, suppressed)
+    let report = xlint::lint_files(ctxs, docs);
+    (report.violations, report.suppressed)
 }
 
 fn rules(violations: &[Violation]) -> Vec<&str> {
     violations.iter().map(|v| v.rule).collect()
-}
-
-#[test]
-fn no_panic_lib_fixture() {
-    let (v, suppressed) = lint(
-        "no_panic_lib.rs",
-        "crates/fixture/src/util.rs",
-        CrateKind::Lib,
-    );
-    assert_eq!(rules(&v), ["no-panic-lib"], "{v:?}");
-    assert_eq!(v[0].line, 3, "the bare unwrap, not the allowed expect");
-    assert_eq!(suppressed, 1);
-}
-
-#[test]
-fn no_panic_lib_fixture_is_exempt_in_tool_crates() {
-    let (v, suppressed) = lint("no_panic_lib.rs", "crates/cli/src/util.rs", CrateKind::Tool);
-    // The rule never fires, so the allow on the expect goes unused.
-    assert_eq!(rules(&v), ["unused-allow"], "{v:?}");
-    assert_eq!(suppressed, 0);
-}
-
-#[test]
-fn hot_path_hash_fixture() {
-    let (v, suppressed) = lint(
-        "hot_path_hash.rs",
-        "crates/tpminer/src/search.rs",
-        CrateKind::Lib,
-    );
-    assert_eq!(rules(&v), ["hot-path-hash"], "{v:?}");
-    assert_eq!(v[0].line, 3, "the HashMap, not the allowed HashSet");
-    assert_eq!(suppressed, 1);
-}
-
-#[test]
-fn hot_path_hash_fixture_is_silent_off_the_hot_path() {
-    let (v, suppressed) = lint(
-        "hot_path_hash.rs",
-        "crates/fixture/src/other.rs",
-        CrateKind::Lib,
-    );
-    assert_eq!(rules(&v), ["unused-allow"], "{v:?}");
-    assert_eq!(suppressed, 0);
-}
-
-#[test]
-fn safety_comment_fixture() {
-    let (v, suppressed) = lint(
-        "safety_comment.rs",
-        "crates/fixture/src/ffi.rs",
-        CrateKind::Lib,
-    );
-    assert_eq!(rules(&v), ["safety-comment"], "{v:?}");
-    assert_eq!(v[0].line, 3, "the bare block; documented and allowed pass");
-    assert_eq!(suppressed, 1);
-}
-
-#[test]
-fn forbid_unsafe_gate_fixture() {
-    let (v, suppressed) = lint(
-        "forbid_unsafe_gate_violation.rs",
-        "crates/fixture/src/lib.rs",
-        CrateKind::Lib,
-    );
-    assert_eq!(rules(&v), ["forbid-unsafe-gate"], "{v:?}");
-    assert_eq!(suppressed, 0);
-
-    let (v, suppressed) = lint(
-        "forbid_unsafe_gate_allow.rs",
-        "crates/fixture/src/lib.rs",
-        CrateKind::Lib,
-    );
-    assert!(v.is_empty(), "{v:?}");
-    assert_eq!(suppressed, 1);
-
-    // The same gateless file is fine anywhere but lib.rs.
-    let (v, _) = lint(
-        "forbid_unsafe_gate_violation.rs",
-        "crates/fixture/src/util.rs",
-        CrateKind::Lib,
-    );
-    assert!(v.is_empty(), "{v:?}");
-}
-
-#[test]
-fn no_raw_spawn_fixture() {
-    let (v, suppressed) = lint(
-        "no_raw_spawn.rs",
-        "crates/fixture/src/work.rs",
-        CrateKind::Lib,
-    );
-    assert_eq!(rules(&v), ["no-raw-spawn"], "{v:?}");
-    assert_eq!(v[0].line, 3, "the bare spawn, not the allowed one");
-    assert_eq!(suppressed, 1);
-
-    // The sanctioned worker modules may spawn freely.
-    let (v, suppressed) = lint(
-        "no_raw_spawn.rs",
-        "crates/tpminer/src/parallel.rs",
-        CrateKind::Lib,
-    );
-    assert_eq!(rules(&v), ["unused-allow"], "{v:?}");
-    assert_eq!(suppressed, 0);
-
-    // The pipelined-refresh worker added in PR 5 is sanctioned too.
-    let (v, suppressed) = lint(
-        "no_raw_spawn.rs",
-        "crates/stream/src/worker.rs",
-        CrateKind::Lib,
-    );
-    assert_eq!(rules(&v), ["unused-allow"], "{v:?}");
-    assert_eq!(suppressed, 0);
-
-    // The shard pool is a worker count over the work queue, not a
-    // spawn site: a raw spawn there fails like anywhere else.
-    let (v, suppressed) = lint(
-        "no_raw_spawn.rs",
-        "crates/stream/src/pool.rs",
-        CrateKind::Lib,
-    );
-    assert_eq!(rules(&v), ["no-raw-spawn"], "{v:?}");
-    assert_eq!(suppressed, 1);
-
-    // The server's accept loop (PR 7) is the service tier's one sanctioned
-    // spawn site…
-    let (v, suppressed) = lint(
-        "no_raw_spawn.rs",
-        "crates/server/src/accept.rs",
-        CrateKind::Lib,
-    );
-    assert_eq!(rules(&v), ["unused-allow"], "{v:?}");
-    assert_eq!(suppressed, 0);
-
-    // …and sanctioning it must not leak to the rest of crates/server: a
-    // spawn in the connection or session modules still fails.
-    for module in ["crates/server/src/conn.rs", "crates/server/src/session.rs"] {
-        let (v, suppressed) = lint("no_raw_spawn.rs", module, CrateKind::Lib);
-        assert_eq!(rules(&v), ["no-raw-spawn"], "{module}: {v:?}");
-        assert_eq!(suppressed, 1, "{module}");
-    }
-}
-
-#[test]
-fn no_unbudgeted_clock_fixture() {
-    let (v, suppressed) = lint(
-        "no_unbudgeted_clock.rs",
-        "crates/fixture/src/mine.rs",
-        CrateKind::Lib,
-    );
-    assert_eq!(rules(&v), ["no-unbudgeted-clock"], "{v:?}");
-    assert_eq!(v[0].line, 5, "the bare read, not the allowed one");
-    assert_eq!(suppressed, 1);
-
-    // Budget modules own the clock.
-    let (v, suppressed) = lint(
-        "no_unbudgeted_clock.rs",
-        "crates/interval-core/src/budget.rs",
-        CrateKind::Lib,
-    );
-    assert_eq!(rules(&v), ["unused-allow"], "{v:?}");
-    assert_eq!(suppressed, 0);
-}
-
-#[test]
-fn no_unbudgeted_clock_wal_fixture() {
-    // An fsync retry loop timing its backoff with `Instant::now` is still a
-    // violation in any ordinary library module…
-    let (v, suppressed) = lint(
-        "no_unbudgeted_clock_wal.rs",
-        "crates/fixture/src/journal.rs",
-        CrateKind::Lib,
-    );
-    assert_eq!(rules(&v), ["no-unbudgeted-clock"], "{v:?}");
-    assert_eq!(v[0].line, 8, "the bare read, not the allowed one");
-    assert_eq!(suppressed, 1);
-
-    // …but the durability crate's I/O module is the sanctioned home for
-    // exactly this loop (retry backoff ceilings need the wall clock).
-    let (v, suppressed) = lint(
-        "no_unbudgeted_clock_wal.rs",
-        "crates/durability/src/io.rs",
-        CrateKind::Lib,
-    );
-    assert_eq!(rules(&v), ["unused-allow"], "{v:?}");
-    assert_eq!(suppressed, 0);
-}
-
-#[test]
-fn no_unbudgeted_clock_segment_fixture() {
-    // Timing a seal with `Instant::now` is still a violation in any
-    // ordinary library module…
-    let (v, suppressed) = lint(
-        "no_unbudgeted_clock_segment.rs",
-        "crates/fixture/src/cold.rs",
-        CrateKind::Lib,
-    );
-    assert_eq!(rules(&v), ["no-unbudgeted-clock"], "{v:?}");
-    assert_eq!(v[0].line, 8, "the bare read, not the allowed one");
-    assert_eq!(suppressed, 1);
-
-    // …but the segment crate's store module is the sanctioned home for
-    // exactly this measurement (`seal_micros` flags slow disks).
-    let (v, suppressed) = lint(
-        "no_unbudgeted_clock_segment.rs",
-        "crates/segment/src/store.rs",
-        CrateKind::Lib,
-    );
-    assert_eq!(rules(&v), ["unused-allow"], "{v:?}");
-    assert_eq!(suppressed, 0);
 }
 
 #[test]
@@ -412,25 +171,6 @@ fn exit_code_registry_fixture_pair() {
         None,
     );
     assert!(v.is_empty(), "{v:?}");
-}
-
-#[test]
-fn run_paths_lints_fixtures_end_to_end() {
-    // Drive the public entry point over a real file on disk: the fixture
-    // lands in the `xlint` (tool) crate, so only structural rules apply —
-    // the spawn fixture must come back clean except for its unused allow.
-    let manifest = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let root = manifest
-        .parent()
-        .and_then(Path::parent)
-        .expect("workspace root");
-    let report = xlint::run_paths(
-        root,
-        &[manifest.join("fixtures").join("no_unbudgeted_clock.rs")],
-    )
-    .expect("fixture readable");
-    assert_eq!(report.checked_files, 1);
-    assert_eq!(rules(&report.violations), ["unused-allow"]);
 }
 
 #[test]

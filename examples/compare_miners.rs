@@ -5,12 +5,23 @@
 //! cargo run --release --example compare_miners
 //! ```
 
-// Examples narrate to stdout by design.
-#![allow(clippy::print_stdout, clippy::print_stderr)]
+#![allow(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    reason = "an example narrates to stdout and stops on a failed check"
+)]
 
 use ptpminer::prelude::*;
 use std::time::Instant;
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the example times the runs it reports"
+)]
 fn main() {
     let config = QuestConfig::small().sequences(800).symbols(60).seed(2024);
     let db = QuestGenerator::new(config).generate();

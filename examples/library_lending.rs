@@ -6,13 +6,24 @@
 //! cargo run --release --example library_lending
 //! ```
 
-// Examples narrate to stdout by design.
-#![allow(clippy::print_stdout, clippy::print_stderr)]
+#![allow(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    reason = "an example narrates to stdout and stops on a failed check"
+)]
 
 use ptpminer::prelude::*;
 use ptpminer::tpminer::closed_patterns;
 use std::time::Instant;
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the example times the runs it reports"
+)]
 fn main() {
     let db = ptpminer::datasets::LibraryEmulator::new(LibraryConfig {
         patrons: 2_000,

@@ -5,12 +5,23 @@
 //! cargo run --example quickstart
 //! ```
 
-// Examples narrate to stdout by design.
-#![allow(clippy::print_stdout, clippy::print_stderr)]
+#![allow(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    reason = "an example narrates to stdout and stops on a failed check"
+)]
 
 use ptpminer::prelude::*;
 use std::time::Instant;
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the example times the runs it reports"
+)]
 fn main() {
     // A toy symptom diary: three patients, intervals of ongoing symptoms.
     let mut builder = DatabaseBuilder::new();

@@ -6,8 +6,15 @@
 //! cargo run --example streaming
 //! ```
 
-// Examples narrate to stdout by design.
-#![allow(clippy::print_stdout, clippy::print_stderr)]
+#![allow(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    reason = "an example narrates to stdout and stops on a failed check"
+)]
 
 use std::sync::Arc;
 

@@ -5,8 +5,15 @@
 //! cargo run --release --example uncertain_sensors
 //! ```
 
-// Examples narrate to stdout by design.
-#![allow(clippy::print_stdout, clippy::print_stderr)]
+#![allow(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    reason = "an example narrates to stdout and stops on a failed check"
+)]
 
 use interval_core::rng::SplitMix64;
 use ptpminer::interval_core::UncertainDatabaseBuilder;

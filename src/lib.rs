@@ -60,8 +60,8 @@ pub mod prelude {
         gesture::GestureConfig, icu::IcuConfig, library::LibraryConfig, stock::StockConfig,
     };
     pub use interval_core::{
-        compose, AllenRelation, DatabaseBuilder, EventInterval, IntervalDatabase, IntervalSequence,
-        MatchConstraints, RelationSet, SymbolTable, TemporalPattern, UncertainDatabase,
+        AllenRelation, DatabaseBuilder, EventInterval, IntervalDatabase, IntervalSequence,
+        MatchConstraints, SymbolTable, TemporalPattern, UncertainDatabase,
     };
     pub use synthgen::{QuestConfig, QuestGenerator};
     pub use tpminer::{

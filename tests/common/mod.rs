@@ -3,7 +3,10 @@
 //!
 //! Each integration-test binary compiles this module independently and uses
 //! a subset of it, so unused-item warnings are expected noise.
-#![allow(dead_code)]
+#![allow(
+    dead_code,
+    reason = "each integration-test binary uses a subset of this module"
+)]
 
 pub mod prop;
 

@@ -22,6 +22,10 @@ use interval_core::rng::{SampleRange, SplitMix64};
 ///
 /// When a case fails, with a message that names its seed and its input
 /// ahead of the property's own panic message.
+#[expect(
+    clippy::panic,
+    reason = "a failed case panics again, naming its seed and input"
+)]
 pub fn check<T: Clone + Debug>(
     cases: u64,
     generate: impl Fn(&mut SplitMix64) -> T,

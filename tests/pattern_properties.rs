@@ -66,7 +66,10 @@ fn display_parse_round_trips() {
 }
 
 #[test]
-#[allow(clippy::needless_range_loop)] // index symmetry (i, j) vs (j, i)
+#[expect(
+    clippy::needless_range_loop,
+    reason = "index symmetry (i, j) vs (j, i)"
+)]
 fn relation_matrix_is_coherent() {
     prop::check(256, common::interval_set, |ivs| {
         let p = TemporalPattern::arrangement_of(&ivs);

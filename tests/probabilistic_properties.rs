@@ -2,6 +2,13 @@
 //! on certain data, expected supports are consistent with the exact
 //! semantics, and the PT4 bound really bounds.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "a test helper fails its test by panicking"
+)]
+
 mod common;
 
 use common::prop;

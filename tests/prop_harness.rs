@@ -2,6 +2,13 @@
 //! case names its seed and input, a seed regenerates its input, and the
 //! draws stay inside their alphabet and length bounds, ends included.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "a test helper fails its test by panicking"
+)]
+
 mod common;
 
 use std::collections::BTreeSet;

@@ -14,6 +14,13 @@
 //!   flipped bit (under `tests/fixtures/wal/`) recover with exactly the
 //!   documented semantics, so the on-disk format cannot drift silently.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "a test helper fails its test by panicking"
+)]
+
 mod common;
 
 use std::path::{Path, PathBuf};

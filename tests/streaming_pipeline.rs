@@ -13,6 +13,13 @@
 //!   path) stops an in-flight background refresh and the worker joins
 //!   without deadlock, handing the miner back intact.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "a test helper fails its test by panicking"
+)]
+
 mod common;
 
 use std::sync::Arc;

@@ -4,9 +4,8 @@
 //! - **round trip**: formatting a structurally valid `QUERY` / `SUBSCRIBE`
 //!   / `UNSUBSCRIBE` frame (any keyword order, any casing, messy
 //!   whitespace) and parsing it back yields exactly the intended request;
-//! - **junk rejection without desync**: arbitrary printable garbage never
-//!   panics the parser, and — because each line parses independently — a
-//!   junk line never corrupts the parse of the valid frame after it.
+//! - **junk classification**: arbitrary printable garbage never panics
+//!   the parser.
 
 mod common;
 
@@ -151,28 +150,18 @@ fn subscribe_frames_round_trip() {
     });
 }
 
-/// Junk never panics the parser, and a junk line never desyncs the
-/// next frame: parsing garbage then a known-good line gives exactly
-/// the same result as parsing the good line alone.
+/// Junk never panics the parser: every line classifies as a request, a
+/// blank or comment line, or an error. (That junk never desyncs the next
+/// frame is a property of the server's line reader; the TCP test
+/// `protocol_errors_keep_the_connection_alive` checks it on one
+/// connection.)
 #[test]
-fn junk_is_rejected_without_desync() {
+fn junk_is_classified_without_panicking() {
     prop::check(
         64,
         |rng| prop::printable(rng, 0..=60),
         |junk| {
-            // Must classify (Ok or Err) without panicking.
             let _ = Request::parse_line(&junk);
-
-            let good = "QUERY vitals PREFIX fever TOP 7";
-            let after_junk = Request::parse_line(good);
-            assert_eq!(
-                after_junk,
-                Ok(Some(Request::Query {
-                    stream: "vitals".to_owned(),
-                    prefix: Some("fever".to_owned()),
-                    top: Some(7),
-                }))
-            );
         },
     );
 }
