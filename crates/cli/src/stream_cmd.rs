@@ -16,8 +16,9 @@
 //!
 //! The command is a thin caller of [`stream::Pipeline`], the same loop the
 //! server runs per stream. Refreshes run on a background worker while
-//! ingestion continues: a trigger freezes the window (cheap, `Arc`-shared
-//! indexes) and hands the epoch to the worker; triggers arriving while a
+//! ingestion continues: a trigger freezes the window (re-indexing only the
+//! changed sequences, one `Arc` clone per live sequence) and hands the
+//! epoch to the worker; triggers arriving while a
 //! refresh is still in flight are *coalesced* into the next epoch (see
 //! `docs/STREAMING.md`). `--refresh-workers N` shards each refresh's
 //! dirty roots across a pool of `N` mining workers (LPT-balanced,

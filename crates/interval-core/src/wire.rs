@@ -1057,4 +1057,83 @@ mod tests {
         assert_eq!(closest("QUREY", VERBS), Some("QUERY"));
         assert_eq!(closest("zzzzzz", VERBS), None);
     }
+
+    /// The verb a request is spelled with. No `_` arm: a new `Request`
+    /// variant fails to compile here until it names its verb.
+    fn verb_of(request: &Request) -> &'static str {
+        match request {
+            Request::Create { .. } => "CREATE",
+            Request::Event { .. } => "EVENT",
+            Request::Batch { .. } => "BATCH",
+            Request::Query { .. } => "QUERY",
+            Request::History { .. } => "HISTORY",
+            Request::Sync { .. } => "SYNC",
+            Request::Subscribe { .. } => "SUBSCRIBE",
+            Request::Unsubscribe { .. } => "UNSUBSCRIBE",
+            Request::Stats { .. } => "STATS",
+            Request::Drop { .. } => "DROP",
+            Request::Health => "HEALTH",
+            Request::Ping => "PING",
+            Request::Shutdown => "SHUTDOWN",
+            Request::Quit => "QUIT",
+        }
+    }
+
+    /// One well-formed line per verb.
+    const SAMPLES: &[(&str, &str)] = &[
+        ("CREATE", "CREATE s WINDOW 10 SUPPORT 0.5"),
+        ("EVENT", "EVENT s watermark 9"),
+        ("BATCH", "BATCH s 1"),
+        ("QUERY", "QUERY s"),
+        ("HISTORY", "HISTORY s FROM 0 TO 10"),
+        ("SYNC", "SYNC s"),
+        ("SUBSCRIBE", "SUBSCRIBE s"),
+        ("UNSUBSCRIBE", "UNSUBSCRIBE"),
+        ("STATS", "STATS"),
+        ("DROP", "DROP s"),
+        ("HEALTH", "HEALTH"),
+        ("PING", "PING"),
+        ("SHUTDOWN", "SHUTDOWN"),
+        ("QUIT", "QUIT"),
+    ];
+
+    /// The protocol reference whose command table lists every verb.
+    const SERVER_DOCS: &str = include_str!("../../../docs/SERVER.md");
+
+    /// Whether a table row of [`SERVER_DOCS`] opens its first cell's code
+    /// span with `verb` (`| `SYNC <s>` |`, `| `PING` / `QUIT` |`).
+    fn documented(verb: &str) -> bool {
+        SERVER_DOCS
+            .lines()
+            .filter_map(|line| line.strip_prefix("| "))
+            .filter_map(|row| row.split(" |").next())
+            .any(|cell| {
+                cell.split('`')
+                    .skip(1)
+                    .step_by(2)
+                    .any(|span| span.split(' ').next() == Some(verb))
+            })
+    }
+
+    #[test]
+    fn every_verb_parses_to_its_own_request_and_is_documented() {
+        for &verb in VERBS {
+            assert!(
+                !matches!(
+                    Request::parse_line(verb),
+                    Err(WireError::UnknownCommand { .. })
+                ),
+                "{verb} is in VERBS but has no parse arm"
+            );
+            let (_, line) = SAMPLES
+                .iter()
+                .find(|(v, _)| *v == verb)
+                .unwrap_or_else(|| panic!("no sample line for {verb}"));
+            assert_eq!(verb_of(&parse(line)), verb, "{line:?}");
+            assert!(
+                documented(verb),
+                "{verb} has no row in the docs/SERVER.md command table"
+            );
+        }
+    }
 }

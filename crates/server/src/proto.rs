@@ -25,7 +25,7 @@
 
 use std::io::{self, Write};
 
-use stream::PatternSnapshot;
+use stream::{PatternSnapshot, PipelineStats};
 
 use crate::session::{QueryReply, SessionStats};
 use crate::stats::CountersSnapshot;
@@ -96,22 +96,40 @@ pub fn rev_line(stream: &str, snapshot: &PatternSnapshot, dropped: u64) -> Strin
 
 /// One `STATS` payload line for a stream — stable `k=v` pairs.
 pub fn stats_line(s: &SessionStats) -> String {
-    let lag = s
-        .pipeline
-        .refresh_lag
-        .map_or_else(|| "-".to_owned(), |t| t.to_string());
+    // No `..`: a new pipeline counter fails to compile until it is rendered.
+    let PipelineStats {
+        submitted_refreshes,
+        completed_refreshes,
+        coalesced_refreshes,
+        events_during_refresh,
+        refresh_lag,
+        subscribers,
+        subscriber_delivered,
+        subscriber_dropped,
+        subscriber_max_lag,
+        wal_flushes,
+        wal_degraded,
+        segments_sealed,
+        segment_records,
+        segment_bytes,
+        segment_seal_failures,
+    } = &s.pipeline;
+    let lag = refresh_lag.map_or_else(|| "-".to_owned(), |t| t.to_string());
     let wal = match &s.journal {
         None => "wal=none".to_owned(),
         Some(j) => format!(
-            "wal_records={} wal_flushes={} wal_degraded={}",
-            j.wal.records_appended, s.pipeline.wal_flushes, s.pipeline.wal_degraded
+            "wal_records={} wal_flushes={wal_flushes} wal_degraded={wal_degraded}",
+            j.wal.records_appended
         ),
     };
     format!(
         "stream={} events={} watermarks={} sequences={} open={} revision={} patterns={} \
-         submitted={} completed={} coalesced={} during_refresh={} lag={lag} \
-         subscribers={} sub_delivered={} sub_dropped={} sub_max_lag={} \
-         sealed={} seal_records={} seal_bytes={} seal_failures={} queries={} {wal}",
+         submitted={submitted_refreshes} completed={completed_refreshes} \
+         coalesced={coalesced_refreshes} during_refresh={events_during_refresh} lag={lag} \
+         subscribers={subscribers} sub_delivered={subscriber_delivered} \
+         sub_dropped={subscriber_dropped} sub_max_lag={subscriber_max_lag} \
+         sealed={segments_sealed} seal_records={segment_records} seal_bytes={segment_bytes} \
+         seal_failures={segment_seal_failures} queries={} {wal}",
         s.name,
         s.events,
         s.watermarks,
@@ -119,18 +137,6 @@ pub fn stats_line(s: &SessionStats) -> String {
         s.open_intervals,
         s.revision,
         s.patterns,
-        s.pipeline.submitted_refreshes,
-        s.pipeline.completed_refreshes,
-        s.pipeline.coalesced_refreshes,
-        s.pipeline.events_during_refresh,
-        s.pipeline.subscribers,
-        s.pipeline.subscriber_delivered,
-        s.pipeline.subscriber_dropped,
-        s.pipeline.subscriber_max_lag,
-        s.pipeline.segments_sealed,
-        s.pipeline.segment_records,
-        s.pipeline.segment_bytes,
-        s.pipeline.segment_seal_failures,
         s.queries,
     )
 }
@@ -191,6 +197,75 @@ mod tests {
         assert_eq!(
             text,
             "BEGIN 2 revision=3 watermark=42 sequences=7\n5\ta+ | a-\n2\tb+ | b-\nEND\n"
+        );
+    }
+
+    /// A `SessionStats` whose every counter holds a distinct value, so a
+    /// swapped or dropped key shows in the golden lines below.
+    fn distinct_stats(journal: Option<stream::JournalStats>) -> SessionStats {
+        SessionStats {
+            name: "vitals".into(),
+            events: 1,
+            watermarks: 2,
+            sequences: 3,
+            open_intervals: 4,
+            revision: 5,
+            patterns: 6,
+            pipeline: PipelineStats {
+                submitted_refreshes: 7,
+                completed_refreshes: 8,
+                coalesced_refreshes: 9,
+                events_during_refresh: 10,
+                refresh_lag: Some(11),
+                subscribers: 12,
+                subscriber_delivered: 13,
+                subscriber_dropped: 14,
+                subscriber_max_lag: 15,
+                wal_flushes: 16,
+                wal_degraded: true,
+                segments_sealed: 17,
+                segment_records: 18,
+                segment_bytes: 19,
+                segment_seal_failures: 20,
+            },
+            journal,
+            queries: 21,
+        }
+    }
+
+    #[test]
+    fn stats_line_is_golden_in_both_wal_forms() {
+        let durable = distinct_stats(Some(stream::JournalStats {
+            wal: durability::WalStats {
+                records_appended: 22,
+                bytes_written: 23,
+                writes: 24,
+                syncs: 25,
+                segments_sealed: 26,
+                segments_reclaimed: 27,
+                retries: 28,
+            },
+            flushes: 29,
+            appends_skipped: 30,
+            degraded: false,
+        }));
+        assert_eq!(
+            stats_line(&durable),
+            "stream=vitals events=1 watermarks=2 sequences=3 open=4 revision=5 patterns=6 \
+             submitted=7 completed=8 coalesced=9 during_refresh=10 lag=11 \
+             subscribers=12 sub_delivered=13 sub_dropped=14 sub_max_lag=15 \
+             sealed=17 seal_records=18 seal_bytes=19 seal_failures=20 queries=21 \
+             wal_records=22 wal_flushes=16 wal_degraded=true"
+        );
+
+        let mut volatile = distinct_stats(None);
+        volatile.pipeline.refresh_lag = None;
+        assert_eq!(
+            stats_line(&volatile),
+            "stream=vitals events=1 watermarks=2 sequences=3 open=4 revision=5 patterns=6 \
+             submitted=7 completed=8 coalesced=9 during_refresh=10 lag=- \
+             subscribers=12 sub_delivered=13 sub_dropped=14 sub_max_lag=15 \
+             sealed=17 seal_records=18 seal_bytes=19 seal_failures=20 queries=21 wal=none"
         );
     }
 

@@ -19,7 +19,8 @@
 //!   its own snapshots;
 //! - [`RefreshWorker`] pipelines refreshes onto a background thread:
 //!   [`SlidingWindowDatabase::freeze`] takes a copy-on-write
-//!   [`FrozenView`] of the window (O(changed sequences)), ingestion
+//!   [`FrozenView`] of the window (it re-indexes only the changed
+//!   sequences but clones one `Arc` per live sequence), ingestion
 //!   continues while the worker mines it, and triggers arriving mid-flight
 //!   coalesce into the next epoch — bounded memory, no lost events, and
 //!   snapshots bit-identical to the synchronous path (see [`worker`] and

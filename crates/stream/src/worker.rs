@@ -1,9 +1,10 @@
 //! Background refresh worker: pipelined re-mining concurrent with ingestion.
 //!
 //! A synchronous refresh stalls ingestion for the whole re-mine. The
-//! pipeline splits a refresh into a cheap **freeze** on the ingest thread
+//! pipeline splits a refresh into a **freeze** on the ingest thread
 //! ([`SlidingWindowDatabase::freeze`](crate::SlidingWindowDatabase::freeze),
-//! O(changed sequences)) and the expensive **mine** on a dedicated
+//! which re-indexes only the changed sequences but clones one `Arc` per
+//! live sequence) and the expensive **mine** on a dedicated
 //! [`RefreshWorker`] thread ([`IncrementalMiner::refresh_frozen`]), which
 //! publishes each result through the shared [`SnapshotCell`]. Ingestion
 //! keeps mutating the live window the whole time; the frozen `Arc`-shared

@@ -3,11 +3,11 @@
 //! rustc and clippy enforce the per-file invariants: panic-free library
 //! crates, the hash-free hot path, unsafe hygiene and thread and clock
 //! confinement (see the root `Cargo.toml` and `clippy.toml`). What they
-//! cannot express are invariants *between* files, and `xlint` pins those
-//! as four semantic rules — `budget-poll`, `lock-discipline`,
-//! `wire-drift` and `exit-code-registry` — over a cross-crate item model,
-//! with per-line `// xlint::allow(<rule>): <reason>` escape hatches that
-//! force every exception to carry a justification.
+//! cannot express are invariants over the call graph: `xlint` pins those
+//! as `budget-poll` and `lock-discipline`, over a cross-crate model of fns
+//! and call edges, beside the token-level `exit-code-registry`. Per-line
+//! `// xlint::allow(<rule>): <reason>` escape hatches force every
+//! exception to carry a justification.
 //!
 //! The crate is pure `std` (zero dependencies). See `CONTRIBUTING.md`
 //! ("Lint policy") for the rule catalogue and `DESIGN.md` for why each
@@ -26,7 +26,6 @@ use model::Model;
 use report::Report;
 use rules::apply_allows;
 use source::FileContext;
-use std::collections::HashSet;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -57,21 +56,19 @@ pub fn run_workspace(root: &Path) -> io::Result<Report> {
         let rel = rel.to_string_lossy().replace('\\', "/");
         ctxs.push(FileContext::new(rel, fs::read_to_string(&abs)?));
     }
-    let docs = fs::read_to_string(root.join("docs").join("SERVER.md")).ok();
-    Ok(lint_files(ctxs, docs.as_deref()))
+    Ok(lint_files(ctxs))
 }
 
 /// Runs every rule over `ctxs` as one workspace and applies each file's
-/// allow directives. `docs` is the text of `docs/SERVER.md`, which
-/// `wire-drift` checks the verb table against.
-pub fn lint_files(mut ctxs: Vec<FileContext>, docs: Option<&str>) -> Report {
+/// allow directives.
+pub fn lint_files(mut ctxs: Vec<FileContext>) -> Report {
     ctxs.sort_by(|a, b| a.path.cmp(&b.path));
     // Each violation is routed back to its file, so one apply_allows pass
     // per file sees every finding there (this keeps unused-allow exact).
     let refs: Vec<&FileContext> = ctxs.iter().collect();
     let model = Model::build(&refs);
     let mut raw = vec![Vec::new(); ctxs.len()];
-    for v in semantic::check_workspace(&refs, &model, docs) {
+    for v in semantic::check_workspace(&refs, &model) {
         if let Some(i) = ctxs.iter().position(|c| c.path == v.file) {
             raw[i].push(v);
         }
@@ -90,33 +87,6 @@ pub fn lint_files(mut ctxs: Vec<FileContext>, docs: Option<&str>) -> Report {
         suppressed,
         violations,
     }
-}
-
-/// Lints only the files that differ from `base` (`git diff --name-only
-/// <base>`), for fast pre-commit runs. The whole workspace is still
-/// *analyzed* — the rules need every call edge — but only violations
-/// (including unused-allow reports) in changed files are kept, so
-/// `checked_files`/`suppressed` describe the full analysis while the
-/// violation list is scoped to the diff.
-pub fn run_changed(root: &Path, base: &str) -> io::Result<Report> {
-    let output = std::process::Command::new("git")
-        .args(["diff", "--name-only", base])
-        .current_dir(root)
-        .output()?;
-    if !output.status.success() {
-        return Err(io::Error::other(format!(
-            "git diff --name-only {base} failed: {}",
-            String::from_utf8_lossy(&output.stderr).trim()
-        )));
-    }
-    let changed: HashSet<String> = String::from_utf8_lossy(&output.stdout)
-        .lines()
-        .map(|l| l.trim().replace('\\', "/"))
-        .filter(|l| !l.is_empty())
-        .collect();
-    let mut report = run_workspace(root)?;
-    report.violations.retain(|v| changed.contains(&v.file));
-    Ok(report)
 }
 
 /// Recursively collects `.rs` files under `dir` (no-op if it is absent),

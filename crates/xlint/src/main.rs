@@ -1,10 +1,7 @@
-//! CLI entry point:
-//! `cargo run -p xlint [-- --json|--sarif] [--changed[=BASE]] [--root DIR]`.
+//! CLI entry point: `cargo run -p xlint [-- --sarif] [--root DIR]`.
 //!
-//! Lints the whole workspace. `--changed` analyzes the workspace but
-//! reports only violations in files differing from BASE (default HEAD).
-//! Exit codes: `0` clean, `1` unsuppressed violations, `2` usage or I/O
-//! error.
+//! Lints the whole workspace. Exit codes: `0` clean, `1` unsuppressed
+//! violations, `2` usage or I/O error.
 
 #![allow(
     clippy::print_stdout,
@@ -21,24 +18,14 @@ use std::process::ExitCode;
 const EXIT_VIOLATIONS: u8 = 1;
 const EXIT_USAGE: u8 = 2;
 
-#[derive(Clone, Copy, PartialEq)]
-enum Format {
-    Human,
-    Json,
-    Sarif,
-}
-
 fn main() -> ExitCode {
-    let mut format = Format::Human;
+    let mut sarif = false;
     let mut root = PathBuf::from(".");
-    let mut changed: Option<String> = None;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--json" => format = Format::Json,
-            "--sarif" => format = Format::Sarif,
-            "--changed" => changed = Some("HEAD".to_string()),
+            "--sarif" => sarif = true,
             "--root" => match args.next() {
                 Some(dir) => root = PathBuf::from(dir),
                 None => {
@@ -48,19 +35,12 @@ fn main() -> ExitCode {
             },
             "--help" | "-h" => {
                 println!(
-                    "usage: xlint [--json|--sarif] [--changed[=BASE]] [--root DIR]\n\n\
+                    "usage: xlint [--sarif] [--root DIR]\n\n\
                      Lints the workspace against the rule catalogue in CONTRIBUTING.md.\n\
-                     Modes:\n\
-                     \x20 (default)        the whole workspace\n\
-                     \x20 --changed[=BASE] analyze everything, report only files in\n\
-                     \x20                  `git diff --name-only BASE` (default HEAD)\n\
-                     Output: --json (stable schema) or --sarif (GitHub code scanning).\n\
+                     Output: human-readable, or --sarif (GitHub code scanning).\n\
                      Exit codes: 0 clean, 1 violations, 2 usage/IO error."
                 );
                 return ExitCode::SUCCESS;
-            }
-            _ if arg.starts_with("--changed=") => {
-                changed = Some(arg["--changed=".len()..].to_string());
             }
             _ => {
                 eprintln!("xlint: unknown argument `{arg}` (try --help)");
@@ -78,11 +58,7 @@ fn main() -> ExitCode {
         return ExitCode::from(EXIT_USAGE);
     }
 
-    let result = match changed {
-        Some(base) => xlint::run_changed(&root, &base),
-        None => xlint::run_workspace(&root),
-    };
-    let report = match result {
+    let report = match xlint::run_workspace(&root) {
         Ok(report) => report,
         Err(err) => {
             eprintln!("xlint: {err}");
@@ -90,10 +66,10 @@ fn main() -> ExitCode {
         }
     };
 
-    match format {
-        Format::Human => print!("{}", report.render_human()),
-        Format::Json => print!("{}", report.render_json()),
-        Format::Sarif => print!("{}", report.render_sarif()),
+    if sarif {
+        print!("{}", report.render_sarif());
+    } else {
+        print!("{}", report.render_human());
     }
     if report.is_clean() {
         ExitCode::SUCCESS

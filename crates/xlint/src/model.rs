@@ -1,4 +1,4 @@
-//! A lightweight cross-crate item model built on the lexer.
+//! A lightweight cross-crate call graph built on the lexer.
 //!
 //! The rules in [`semantic`](crate::semantic) need to know *what calls
 //! what* across the whole workspace — a loop in
@@ -6,9 +6,7 @@
 //! edges away polls the meter. This module extracts just enough structure
 //! to answer those questions, still zero-dependency and token-driven:
 //!
-//! - **Items**: `fn` definitions (with module path and surrounding `impl`
-//!   type), `struct` fields, `enum` variants, `const`/`static` names, and
-//!   `use` declarations resolved to leaf aliases.
+//! - **Fns**: every `fn` definition, by bare name.
 //! - **Call edges**: every `name(…)` / `.name(…)` site inside a fn body,
 //!   resolved *by name* to every workspace fn sharing that name. Name
 //!   resolution without types over-approximates, which is the right
@@ -16,7 +14,7 @@
 //!   for a call that dynamically goes elsewhere, but they never miss a
 //!   real edge.
 //!
-//! Test-gated items (`#[cfg(test)]`, `#[test]`) are indexed but marked,
+//! Test-gated fns (`#[cfg(test)]`, `#[test]`) are indexed but marked,
 //! so rules can skip them.
 
 use crate::lexer::TokenKind;
@@ -35,15 +33,10 @@ const NON_CALL_KEYWORDS: &[&str] = &[
 pub struct Call {
     /// Bare callee name (`submit`, not `worker.submit`).
     pub name: String,
-    /// Whether the site is a method call (`.name(`) rather than a path
-    /// or free-function call.
-    pub method: bool,
     /// Whether the argument list is empty (`name()`), which is how the
     /// lock-discipline rule tells a thread `join()` / channel `recv()`
     /// from `Vec::join(sep)` / `Read::read(buf)`.
     pub empty_args: bool,
-    /// 1-based source line of the callee token.
-    pub line: usize,
 }
 
 /// One `fn` item.
@@ -51,82 +44,21 @@ pub struct Call {
 pub struct FnItem {
     /// Bare function name.
     pub name: String,
-    /// Module-qualified name within its file, `impl` type included:
-    /// `outer::inner::Type::method`.
-    pub qual: String,
-    /// Index of the owning file in [`Model::files`].
-    pub file: usize,
-    /// Line of the `fn` keyword.
-    pub line: usize,
-    /// Code-index range (into `FileContext::code`) of the body, braces
-    /// included. Empty for bodiless trait-method signatures.
-    pub body: (usize, usize),
     /// Whether the item sits inside a test region.
     pub test: bool,
     /// Call sites inside the body, in source order.
     pub calls: Vec<Call>,
 }
 
-/// One named struct field.
+/// The fns extracted from one file.
 #[derive(Debug)]
-pub struct FieldItem {
-    pub name: String,
-    pub line: usize,
-    pub public: bool,
-}
-
-/// One `struct` item (unit and tuple structs carry no fields).
-#[derive(Debug)]
-pub struct StructItem {
-    pub name: String,
-    pub file: usize,
-    pub line: usize,
-    pub fields: Vec<FieldItem>,
-}
-
-/// One `enum` item with its variant names.
-#[derive(Debug)]
-pub struct EnumItem {
-    pub name: String,
-    pub file: usize,
-    pub line: usize,
-    pub variants: Vec<(String, usize)>,
-}
-
-/// One `const` or `static` item.
-#[derive(Debug)]
-pub struct ConstItem {
-    pub name: String,
-    pub file: usize,
-    pub line: usize,
-}
-
-/// One leaf of a `use` tree: `use a::b::{c, d as e};` yields aliases
-/// `c` (path `a::b::c`) and `e` (path `a::b::d`).
-#[derive(Debug, PartialEq, Eq)]
-pub struct UseItem {
-    /// Name the import is visible as in this file.
-    pub alias: String,
-    /// Full `::`-separated path segments, alias excluded.
-    pub path: Vec<String>,
-    pub line: usize,
-    /// Whether the use is re-exported (`pub use`).
-    pub public: bool,
-}
-
-/// Everything the model extracted from one file.
-#[derive(Debug, Default)]
 pub struct FileModel {
     /// Workspace-relative path, mirrored from the [`FileContext`].
     pub path: String,
     pub fns: Vec<FnItem>,
-    pub structs: Vec<StructItem>,
-    pub enums: Vec<EnumItem>,
-    pub consts: Vec<ConstItem>,
-    pub uses: Vec<UseItem>,
 }
 
-/// The workspace-wide model: per-file items plus a name→fn index used for
+/// The workspace-wide model: per-file fns plus a name→fn index used for
 /// call-edge resolution.
 #[derive(Debug, Default)]
 pub struct Model {
@@ -140,8 +72,8 @@ impl Model {
     /// defines the indices used throughout the model.
     pub fn build(ctxs: &[&FileContext]) -> Model {
         let mut model = Model::default();
-        for (file_idx, ctx) in ctxs.iter().enumerate() {
-            model.files.push(extract_file(ctx, file_idx));
+        for ctx in ctxs {
+            model.files.push(extract_file(ctx));
         }
         for (fi, file) in model.files.iter().enumerate() {
             for (gi, f) in file.fns.iter().enumerate() {
@@ -153,11 +85,6 @@ impl Model {
             }
         }
         model
-    }
-
-    /// The model of the file at `path`, if it was indexed.
-    pub fn file(&self, path: &str) -> Option<&FileModel> {
-        self.files.iter().find(|f| f.path == path)
     }
 
     /// Every fn named `name`, across the workspace.
@@ -262,258 +189,63 @@ impl Model {
     }
 }
 
-/// Token-walk extraction of one file's items.
-fn extract_file(ctx: &FileContext, file_idx: usize) -> FileModel {
+/// Token-walk extraction of one file's fns.
+fn extract_file(ctx: &FileContext) -> FileModel {
     let mut out = FileModel {
         path: ctx.path.clone(),
-        ..FileModel::default()
+        fns: Vec::new(),
     };
-    // Scope stack: (brace depth at open, name contributed to the path).
-    // `mod x {` and `impl Ty {` push; any other `{` pushes an anonymous
-    // frame so depths stay matched.
-    let mut scopes: Vec<(i32, Option<String>)> = Vec::new();
-    let mut depth = 0i32;
     let code = &ctx.code;
     let mut pos = 0usize;
     while pos < code.len() {
         let ti = code[pos];
-        let tok = &ctx.tokens[ti];
-        let text = ctx.text(ti);
-        match text {
-            "{" => {
-                depth += 1;
-                scopes.push((depth, None));
-                pos += 1;
-            }
-            "}" => {
-                while scopes.last().is_some_and(|&(d, _)| d >= depth) {
-                    scopes.pop();
-                }
-                depth -= 1;
-                pos += 1;
-            }
-            "mod" if tok.kind == TokenKind::Ident => {
-                // `mod name {` opens a named scope; `mod name;` does not.
-                let name = code
-                    .get(pos + 1)
-                    .map(|&i| ctx.text(i).to_string())
-                    .unwrap_or_default();
-                if code.get(pos + 2).is_some_and(|&i| ctx.text(i) == "{") {
-                    depth += 1;
-                    scopes.push((depth, Some(name)));
-                    pos += 3;
-                } else {
-                    pos += 1;
-                }
-            }
-            "impl" if tok.kind == TokenKind::Ident => {
-                // `impl<G> Trait for Type {` / `impl Type {`: the scope
-                // name is the implemented type — the last path identifier
-                // before the opening brace (after `for` when present).
-                let mut scan = pos + 1;
-                let mut ty: Option<String> = None;
-                let mut angle = 0i32;
-                while scan < code.len() {
-                    let t = ctx.text(code[scan]);
-                    match t {
-                        "<" => angle += 1,
-                        ">" => angle -= 1,
-                        "{" if angle <= 0 => break,
-                        ";" if angle <= 0 => break,
-                        _ => {
-                            if angle <= 0 && ctx.tokens[code[scan]].kind == TokenKind::Ident {
-                                if t == "where" {
-                                    // Bounds after `where` name types that
-                                    // are not the impl target.
-                                    break;
-                                }
-                                if t == "for" {
-                                    ty = None; // the trait name was not the type
-                                } else {
-                                    ty = Some(t.to_string());
-                                }
-                            }
-                        }
-                    }
-                    scan += 1;
-                }
-                // Advance to the `{` (or `;`) we stopped near.
-                while scan < code.len()
-                    && ctx.text(code[scan]) != "{"
-                    && ctx.text(code[scan]) != ";"
-                {
-                    scan += 1;
-                }
-                if scan < code.len() && ctx.text(code[scan]) == "{" {
-                    depth += 1;
-                    scopes.push((depth, ty));
-                    pos = scan + 1;
-                } else {
-                    pos = scan.max(pos + 1);
-                }
-            }
-            "fn" if tok.kind == TokenKind::Ident => {
-                let Some(&name_ti) = code.get(pos + 1) else {
+        if ctx.tokens[ti].kind != TokenKind::Ident || ctx.text(ti) != "fn" {
+            pos += 1;
+            continue;
+        }
+        let Some(&name_ti) = code.get(pos + 1) else {
+            break;
+        };
+        let name = ctx.text(name_ti).to_string();
+        let line = ctx.tokens[name_ti].line;
+        // Find the body `{` (or `;` for signatures), skipping the
+        // parameter list, generics and return type.
+        let mut scan = pos + 2;
+        let mut paren = 0i32;
+        let mut angle = 0i32;
+        let mut body = (0usize, 0usize);
+        while scan < code.len() {
+            let t = ctx.text(code[scan]);
+            match t {
+                "(" | "[" => paren += 1,
+                ")" | "]" => paren -= 1,
+                "<" if paren == 0 => angle += 1,
+                ">" if paren == 0 => angle = (angle - 1).max(0),
+                "{" if paren == 0 => {
+                    let close = matching_brace(ctx, scan);
+                    body = (scan, close + 1);
                     break;
-                };
-                let name = ctx.text(name_ti).to_string();
-                let line = ctx.tokens[name_ti].line;
-                // Find the body `{` (or `;` for signatures), skipping the
-                // parameter list, generics and return type.
-                let mut scan = pos + 2;
-                let mut paren = 0i32;
-                let mut angle = 0i32;
-                let mut body = (0usize, 0usize);
-                while scan < code.len() {
-                    let t = ctx.text(code[scan]);
-                    match t {
-                        "(" | "[" => paren += 1,
-                        ")" | "]" => paren -= 1,
-                        "<" if paren == 0 => angle += 1,
-                        ">" if paren == 0 => angle = (angle - 1).max(0),
-                        "{" if paren == 0 => {
-                            let close = matching_brace(ctx, scan);
-                            body = (scan, close + 1);
-                            break;
-                        }
-                        ";" if paren == 0 && angle == 0 => break,
-                        _ => {}
-                    }
-                    scan += 1;
                 }
-                let qual_prefix: Vec<&str> =
-                    scopes.iter().filter_map(|(_, n)| n.as_deref()).collect();
-                let qual = if qual_prefix.is_empty() {
-                    name.clone()
-                } else {
-                    format!("{}::{}", qual_prefix.join("::"), name)
-                };
-                let calls = if body.0 < body.1 {
-                    extract_calls(ctx, body)
-                } else {
-                    Vec::new()
-                };
-                out.fns.push(FnItem {
-                    name,
-                    qual,
-                    file: file_idx,
-                    line,
-                    body,
-                    test: ctx.is_test_line(line),
-                    calls,
-                });
-                // Continue *inside* the body: nested fns and closures keep
-                // getting indexed, and scope tracking stays consistent.
-                pos = body.0.max(pos + 2).min(code.len());
-                if body.0 >= body.1 {
-                    pos = scan.min(code.len());
-                }
+                ";" if paren == 0 && angle == 0 => break,
+                _ => {}
             }
-            "struct" if tok.kind == TokenKind::Ident => {
-                if let Some(&name_ti) = code.get(pos + 1) {
-                    let name = ctx.text(name_ti).to_string();
-                    let line = ctx.tokens[name_ti].line;
-                    // Only brace-bodied structs carry named fields; skip
-                    // generics to find which delimiter follows.
-                    let mut scan = pos + 2;
-                    let mut angle = 0i32;
-                    while scan < code.len() {
-                        match ctx.text(code[scan]) {
-                            "<" => angle += 1,
-                            ">" => angle -= 1,
-                            "{" if angle == 0 => break,
-                            "(" | ";" if angle == 0 => {
-                                scan = code.len();
-                                break;
-                            }
-                            _ => {}
-                        }
-                        scan += 1;
-                    }
-                    let mut fields = Vec::new();
-                    if scan < code.len() {
-                        let close = matching_brace(ctx, scan);
-                        fields = extract_fields(ctx, scan, close);
-                        out.structs.push(StructItem {
-                            name,
-                            file: file_idx,
-                            line,
-                            fields,
-                        });
-                        pos = close + 1;
-                        continue;
-                    }
-                    out.structs.push(StructItem {
-                        name,
-                        file: file_idx,
-                        line,
-                        fields,
-                    });
-                }
-                pos += 1;
-            }
-            "enum" if tok.kind == TokenKind::Ident => {
-                if let Some(&name_ti) = code.get(pos + 1) {
-                    let name = ctx.text(name_ti).to_string();
-                    let line = ctx.tokens[name_ti].line;
-                    let mut scan = pos + 2;
-                    let mut angle = 0i32;
-                    while scan < code.len() {
-                        match ctx.text(code[scan]) {
-                            "<" => angle += 1,
-                            ">" => angle -= 1,
-                            "{" if angle == 0 => break,
-                            ";" if angle == 0 => {
-                                scan = code.len();
-                                break;
-                            }
-                            _ => {}
-                        }
-                        scan += 1;
-                    }
-                    if scan < code.len() {
-                        let close = matching_brace(ctx, scan);
-                        let variants = extract_variants(ctx, scan, close);
-                        out.enums.push(EnumItem {
-                            name,
-                            file: file_idx,
-                            line,
-                            variants,
-                        });
-                        pos = close + 1;
-                        continue;
-                    }
-                }
-                pos += 1;
-            }
-            "const" | "static" if tok.kind == TokenKind::Ident => {
-                // `const NAME: …` (skip `const fn` and `const` in pointer
-                // types, which are not followed by IDENT `:`).
-                let named = code
-                    .get(pos + 1)
-                    .zip(code.get(pos + 2))
-                    .is_some_and(|(&n, &c)| {
-                        ctx.tokens[n].kind == TokenKind::Ident
-                            && ctx.text(n) != "fn"
-                            && ctx.text(c) == ":"
-                    });
-                if named {
-                    let name_ti = code[pos + 1];
-                    out.consts.push(ConstItem {
-                        name: ctx.text(name_ti).to_string(),
-                        file: file_idx,
-                        line: ctx.tokens[name_ti].line,
-                    });
-                }
-                pos += 1;
-            }
-            "use" if tok.kind == TokenKind::Ident => {
-                let public = pos > 0 && ctx.text(code[pos - 1]) == "pub";
-                let (items, next) = parse_use_tree(ctx, pos + 1, public);
-                out.uses.extend(items);
-                pos = next;
-            }
-            _ => pos += 1,
+            scan += 1;
+        }
+        let calls = if body.0 < body.1 {
+            extract_calls(ctx, body)
+        } else {
+            Vec::new()
+        };
+        out.fns.push(FnItem {
+            name,
+            test: ctx.is_test_line(line),
+            calls,
+        });
+        // Continue *inside* the body: nested fns and closures keep
+        // getting indexed.
+        pos = body.0.max(pos + 2).min(code.len());
+        if body.0 >= body.1 {
+            pos = scan.min(code.len());
         }
     }
     out
@@ -560,162 +292,13 @@ fn extract_calls(ctx: &FileContext, body: (usize, usize)) -> Vec<Call> {
         if pos > 0 && ctx.text(ctx.code[pos - 1]) == "fn" {
             continue;
         }
-        let method = pos > 0 && ctx.text(ctx.code[pos - 1]) == ".";
         let empty_args = pos + 2 < body.1 && ctx.text(ctx.code[pos + 2]) == ")";
         calls.push(Call {
             name: text.to_string(),
-            method,
             empty_args,
-            line: tok.line,
         });
     }
     calls
-}
-
-/// Named fields between a struct's braces: identifiers at nesting depth 1
-/// directly followed by `:`.
-fn extract_fields(ctx: &FileContext, open: usize, close: usize) -> Vec<FieldItem> {
-    let mut fields = Vec::new();
-    let mut depth = 0i32;
-    let mut pos = open;
-    while pos < close {
-        let t = ctx.text(ctx.code[pos]);
-        match t {
-            "{" | "(" | "[" | "<" => depth += 1,
-            "}" | ")" | "]" | ">" => depth -= 1,
-            _ => {
-                let tok = &ctx.tokens[ctx.code[pos]];
-                if depth == 1
-                    && tok.kind == TokenKind::Ident
-                    && pos + 1 < close
-                    && ctx.text(ctx.code[pos + 1]) == ":"
-                    // Skip `pub(crate)` interior and attribute contents.
-                    && t != "pub"
-                    && t != "crate"
-                {
-                    // A field is either at statement start (previous token
-                    // `{`, `,`, `]` from an attribute) or preceded by
-                    // `pub`/`pub(…)`.
-                    let prev = ctx.text(ctx.code[pos - 1]);
-                    if matches!(prev, "{" | "," | "]" | ")" | "pub") {
-                        let public = prev == "pub" || prev == ")";
-                        fields.push(FieldItem {
-                            name: t.to_string(),
-                            line: tok.line,
-                            public,
-                        });
-                    }
-                }
-            }
-        }
-        pos += 1;
-    }
-    fields
-}
-
-/// Variant names between an enum's braces: identifiers at depth 1 at
-/// variant-start position.
-fn extract_variants(ctx: &FileContext, open: usize, close: usize) -> Vec<(String, usize)> {
-    let mut variants = Vec::new();
-    let mut depth = 0i32;
-    let mut pos = open;
-    while pos < close {
-        let t = ctx.text(ctx.code[pos]);
-        match t {
-            "{" | "(" | "[" | "<" => depth += 1,
-            "}" | ")" | "]" | ">" => depth -= 1,
-            _ => {
-                let tok = &ctx.tokens[ctx.code[pos]];
-                if depth == 1 && tok.kind == TokenKind::Ident {
-                    let prev = ctx.text(ctx.code[pos - 1]);
-                    if matches!(prev, "{" | "," | "]") {
-                        variants.push((t.to_string(), tok.line));
-                    }
-                }
-            }
-        }
-        pos += 1;
-    }
-    variants
-}
-
-/// Parses one `use` declaration starting at the code index after the
-/// `use` keyword. Returns the leaf items and the code index after the
-/// terminating `;`.
-fn parse_use_tree(ctx: &FileContext, start: usize, public: bool) -> (Vec<UseItem>, usize) {
-    let mut items = Vec::new();
-    let mut pos = start;
-    let mut prefix: Vec<Vec<String>> = vec![Vec::new()];
-    let mut current: Vec<String> = Vec::new();
-    let line = ctx
-        .code
-        .get(start)
-        .map(|&i| ctx.tokens[i].line)
-        .unwrap_or(0);
-
-    fn flush(
-        items: &mut Vec<UseItem>,
-        prefix: &[Vec<String>],
-        current: &mut Vec<String>,
-        alias: Option<String>,
-        line: usize,
-        public: bool,
-    ) {
-        if current.is_empty() {
-            return;
-        }
-        let mut path: Vec<String> = prefix.iter().flatten().cloned().collect();
-        path.append(current);
-        let last = path.last().cloned().unwrap_or_default();
-        let alias = alias.unwrap_or(last);
-        // `use x::*;` globs carry no single alias; record them with the
-        // `*` alias so callers can still see the glob.
-        items.push(UseItem {
-            alias,
-            path,
-            line,
-            public,
-        });
-    }
-
-    while pos < ctx.code.len() {
-        let t = ctx.text(ctx.code[pos]).to_string();
-        match t.as_str() {
-            ";" => {
-                flush(&mut items, &prefix, &mut current, None, line, public);
-                return (items, pos + 1);
-            }
-            "{" => {
-                prefix.push(std::mem::take(&mut current));
-                pos += 1;
-            }
-            "}" => {
-                flush(&mut items, &prefix, &mut current, None, line, public);
-                prefix.pop();
-                pos += 1;
-            }
-            "," => {
-                flush(&mut items, &prefix, &mut current, None, line, public);
-                pos += 1;
-            }
-            "as" => {
-                let alias = ctx.code.get(pos + 1).map(|&i| ctx.text(i).to_string());
-                flush(&mut items, &prefix, &mut current, alias, line, public);
-                // Skip the alias token; the following `,`/`}`/`;` is
-                // handled normally (current is already empty).
-                pos += 2;
-            }
-            ":" => pos += 1,
-            _ => {
-                if ctx.tokens[ctx.code[pos]].kind == TokenKind::Ident || t == "*" {
-                    current.push(t);
-                }
-                pos += 1;
-            }
-        }
-    }
-    flush(&mut items, &prefix, &mut current, None, line, public);
-    (items, pos)
 }
 
 #[cfg(test)]
@@ -732,35 +315,13 @@ mod tests {
     }
 
     #[test]
-    fn fns_in_nested_modules_get_qualified_names() {
-        let m = model(
-            "mod outer {\n    pub mod inner {\n        pub fn leaf() {}\n    }\n    fn mid() {}\n}\nfn top() {}\n",
-        );
-        let quals: Vec<&str> = m.files[0].fns.iter().map(|f| f.qual.as_str()).collect();
-        assert_eq!(quals, ["outer::inner::leaf", "outer::mid", "top"]);
-    }
-
-    #[test]
-    fn impl_methods_carry_the_type_name() {
-        let m = model(
-            "struct Engine { x: u32 }\nimpl Engine {\n    fn run(&self) { self.step(); }\n}\nimpl Iterator for Engine {\n    type Item = u32;\n    fn next(&mut self) -> Option<u32> { None }\n}\n",
-        );
-        let quals: Vec<&str> = m.files[0].fns.iter().map(|f| f.qual.as_str()).collect();
-        assert_eq!(quals, ["Engine::run", "Engine::next"]);
-    }
-
-    #[test]
-    fn call_edges_distinguish_methods_and_skip_macros() {
+    fn call_edges_cover_methods_and_paths_and_skip_macros() {
         let m = model(
             "fn f() {\n    helper();\n    self.method(1);\n    println!(\"not a call\");\n    let v = Vec::new();\n}\nfn helper() {}\n",
         );
         let f = &m.files[0].fns[0];
-        let names: Vec<(&str, bool)> = f
-            .calls
-            .iter()
-            .map(|c| (c.name.as_str(), c.method))
-            .collect();
-        assert_eq!(names, [("helper", false), ("method", true), ("new", false)]);
+        let names: Vec<&str> = f.calls.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(names, ["helper", "method", "new"]);
     }
 
     #[test]
@@ -821,43 +382,6 @@ mod tests {
     }
 
     #[test]
-    fn struct_fields_and_enum_variants_are_extracted() {
-        let m = model(
-            "pub struct Stats {\n    pub done: u64,\n    started: u64,\n    pub lag: Option<u64>,\n}\npub enum Verb {\n    Create { name: String },\n    Ping,\n    Query(u32),\n}\nstruct Unit;\nstruct Pair(u32, u32);\n",
-        );
-        let s = &m.files[0].structs[0];
-        let fields: Vec<(&str, bool)> = s
-            .fields
-            .iter()
-            .map(|f| (f.name.as_str(), f.public))
-            .collect();
-        assert_eq!(fields, [("done", true), ("started", false), ("lag", true)]);
-        let e = &m.files[0].enums[0];
-        let variants: Vec<&str> = e.variants.iter().map(|(v, _)| v.as_str()).collect();
-        assert_eq!(variants, ["Create", "Ping", "Query"]);
-        // Unit/tuple structs are indexed without phantom fields.
-        assert_eq!(m.files[0].structs.len(), 3);
-        assert!(m.files[0].structs[1].fields.is_empty());
-        assert!(m.files[0].structs[2].fields.is_empty());
-    }
-
-    #[test]
-    fn use_trees_resolve_nested_groups_and_renames() {
-        let m = model(
-            "use std::sync::{Arc, mpsc::{self, Sender as Tx}};\npub use crate::inner::Thing;\nuse std::collections::*;\n",
-        );
-        let uses = &m.files[0].uses;
-        let find = |alias: &str| uses.iter().find(|u| u.alias == alias).unwrap();
-        assert_eq!(find("Arc").path, ["std", "sync", "Arc"]);
-        assert_eq!(find("Tx").path, ["std", "sync", "mpsc", "Sender"]);
-        assert_eq!(find("self").path, ["std", "sync", "mpsc", "self"]);
-        let thing = find("Thing");
-        assert!(thing.public, "pub use is a re-export");
-        assert_eq!(thing.path, ["crate", "inner", "Thing"]);
-        assert!(uses.iter().any(|u| u.alias == "*"));
-    }
-
-    #[test]
     fn re_exported_fn_is_reachable_under_its_own_name() {
         // A re-export does not rename the fn: call edges resolve by bare
         // name, so `pub use` corner cases must not hide definitions.
@@ -868,23 +392,13 @@ mod tests {
         let src_b = ctx("crates/b/src/lib.rs", "fn go() { poll(); }\n");
         let m = Model::build(&[&src_a, &src_b]);
         assert!(m.reaches(&["go".into()], |n| n == "poll"));
-        // And the re-export itself is visible to use-resolution queries.
-        let reexport = m.files[0]
-            .uses
-            .iter()
-            .find(|u| u.alias == "poll")
-            .expect("re-export indexed");
-        assert!(reexport.public);
-        assert_eq!(reexport.path, ["deep", "poll"]);
     }
 
     #[test]
-    fn consts_and_bodiless_fns_are_indexed() {
+    fn bodiless_fns_are_indexed() {
         let m = model(
-            "pub const LIMIT: usize = 4;\nstatic NAME: &str = \"x\";\ntrait T {\n    fn sig(&self) -> u32;\n    fn with_body(&self) -> u32 { self.sig() }\n}\n",
+            "trait T {\n    fn sig(&self) -> u32;\n    fn with_body(&self) -> u32 { self.sig() }\n}\n",
         );
-        let consts: Vec<&str> = m.files[0].consts.iter().map(|c| c.name.as_str()).collect();
-        assert_eq!(consts, ["LIMIT", "NAME"]);
         let sig = m.files[0].fns.iter().find(|f| f.name == "sig").unwrap();
         assert!(sig.calls.is_empty(), "no body, no calls");
         let with_body = m.files[0]

@@ -1,18 +1,5 @@
-//! Human and JSON rendering of a lint run.
-//!
-//! JSON is emitted by hand (xlint is dependency-free by design); the
-//! schema is small and stable:
-//!
-//! ```json
-//! {
-//!   "checked_files": 42,
-//!   "suppressed": 3,
-//!   "violations": [
-//!     {"file": "crates/x/src/a.rs", "line": 7, "rule": "budget-poll",
-//!      "message": "…"}
-//!   ]
-//! }
-//! ```
+//! Human and SARIF rendering of a lint run. SARIF is emitted by hand
+//! (xlint is dependency-free by design).
 
 use crate::rules::{Violation, RULES};
 use std::fmt::Write as _;
@@ -54,33 +41,6 @@ impl Report {
             self.violations.len(),
             self.suppressed
         );
-        out
-    }
-
-    /// The JSON document described in the module docs.
-    pub fn render_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"checked_files\": {},", self.checked_files);
-        let _ = writeln!(out, "  \"suppressed\": {},", self.suppressed);
-        out.push_str("  \"violations\": [");
-        for (i, v) in self.violations.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n    {{\"file\": {}, \"line\": {}, \"rule\": {}, \"message\": {}}}",
-                json_str(&v.file),
-                v.line,
-                json_str(v.rule),
-                json_str(&v.message)
-            );
-        }
-        if !self.violations.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("]\n}\n");
         out
     }
 
@@ -169,18 +129,20 @@ mod tests {
     }
 
     #[test]
-    fn empty_report_renders_empty_array() {
+    fn empty_report_is_clean() {
         let r = Report {
             checked_files: 3,
             suppressed: 0,
             violations: vec![],
         };
         assert!(r.is_clean());
-        assert!(r.render_json().contains("\"violations\": []"));
+        assert!(r
+            .render_human()
+            .contains("3 file(s) checked, 0 violation(s)"));
     }
 
     #[test]
-    fn violations_render_in_both_formats() {
+    fn violations_render_in_human_form() {
         let r = Report {
             checked_files: 1,
             suppressed: 2,
@@ -195,9 +157,6 @@ mod tests {
         let human = r.render_human();
         assert!(human.contains("crates/x/src/a.rs:7: [exit-code-registry] it exits 9"));
         assert!(human.contains("2 suppressed"));
-        let json = r.render_json();
-        assert!(json.contains("\"line\": 7"));
-        assert!(json.contains("\"rule\": \"exit-code-registry\""));
     }
 
     #[test]

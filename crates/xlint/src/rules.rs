@@ -1,7 +1,7 @@
 //! The rule catalogue and the allow-directive engine.
 //!
-//! Every rule pins an invariant that only exists *between* files, so the
-//! rules live in [`semantic`](crate::semantic) and run over the whole
+//! Every rule pins an invariant that rustc and clippy cannot express, so
+//! the rules live in [`semantic`](crate::semantic) and run over the whole
 //! workspace. Per-file invariants (panic-free libraries, the hash-free hot
 //! path, unsafe hygiene, thread and clock confinement) are rustc and
 //! clippy lints, configured in the root `Cargo.toml` and `clippy.toml`.
@@ -30,10 +30,6 @@ pub const RULES: &[(&str, &str)] = &[
     (
         "lock-discipline",
         "no lock guard live across channel send/recv, thread join, or socket I/O in stream/server",
-    ),
-    (
-        "wire-drift",
-        "wire verbs and PipelineStats fields agree across parser, dispatcher, docs and stats output",
     ),
     (
         "exit-code-registry",

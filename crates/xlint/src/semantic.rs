@@ -1,16 +1,18 @@
-//! The rules: invariants that only exist *between* files, checked with
-//! the [`Model`]'s item and call-edge index. Per-file invariants are
-//! rustc and clippy lints (root `Cargo.toml` and `clippy.toml`).
+//! The rules: invariants that rustc and clippy cannot express, checked
+//! over the token streams and the [`Model`]'s call-edge index. Per-file
+//! invariants are rustc and clippy lints (root `Cargo.toml` and
+//! `clippy.toml`); what a type or an exhaustive match can decide is left
+//! to rustc.
 //!
 //! | rule | invariant |
 //! |------|-----------|
 //! | `budget-poll` | every loop on a pattern-growth path reaches a `MiningBudget` poll |
 //! | `lock-discipline` | no lock guard is live across a channel/join/socket blocking call |
-//! | `wire-drift` | the wire verb table, parser, dispatcher, docs and stats surfaces agree |
 //! | `exit-code-registry` | process exit codes are named constants, not numeric literals |
 //!
-//! All four are name-resolved, not type-resolved: call edges connect every
-//! same-named fn in the workspace. That over-approximates reachability,
+//! `budget-poll` and `lock-discipline` are name-resolved, not
+//! type-resolved: call edges connect every same-named fn in the
+//! workspace. That over-approximates reachability,
 //! which errs in the safe direction for `budget-poll` (a loop is more
 //! easily credited with reaching a poll) and is kept honest for
 //! `lock-discipline` by scoping which primitives count as blocking.
@@ -18,8 +20,7 @@
 //! so each can be suppressed by a reasoned `xlint::allow`.
 //!
 //! The rules need the whole workspace to resolve call edges, so they run
-//! from [`run_workspace`](crate::run_workspace) (and `--changed`, which
-//! analyzes everything and filters the report).
+//! from [`run_workspace`](crate::run_workspace).
 
 use crate::lexer::TokenKind;
 use crate::model::Model;
@@ -93,33 +94,16 @@ const BLOCKING_ANY_ARITY: &[&str] = &[
 /// thread join but `join(sep)` is `slice::join`.
 const BLOCKING_ZERO_ARITY: &[&str] = &["recv", "join"];
 
-/// The wire-protocol anchor files. When one is absent from the analyzed
-/// set the corresponding check silently skips (subset runs).
-const WIRE_FILE: &str = "crates/interval-core/src/wire.rs";
-const DISPATCH_FILE: &str = "crates/server/src/conn.rs";
-const STATS_STRUCT_FILE: &str = "crates/stream/src/worker.rs";
-/// Files that must surface every `PipelineStats` field: the server's
-/// `STATS` renderer and the one `--stats-json` renderer that both `stream`
-/// and `serve` call.
-const STATS_SURFACES: &[&str] = &["crates/server/src/proto.rs", "crates/cli/src/stats_json.rs"];
-
 /// The one module allowed to own numeric exit codes.
 const EXIT_REGISTRY_FILE: &str = "crates/cli/src/exit.rs";
 
-/// Runs every semantic rule over the analyzed file set. `docs` is the
-/// content of `docs/SERVER.md` when available (the wire-drift docs check
-/// skips without it).
-pub fn check_workspace(ctxs: &[&FileContext], model: &Model, docs: Option<&str>) -> Vec<Violation> {
+/// Runs every semantic rule over the analyzed file set.
+pub fn check_workspace(ctxs: &[&FileContext], model: &Model) -> Vec<Violation> {
     let mut out = Vec::new();
     budget_poll(ctxs, model, &mut out);
     lock_discipline(ctxs, model, &mut out);
-    wire_drift(ctxs, model, docs, &mut out);
-    exit_code_registry(ctxs, model, &mut out);
+    exit_code_registry(ctxs, &mut out);
     out
-}
-
-fn find<'a>(ctxs: &'a [&FileContext], path: &str) -> Option<&'a FileContext> {
-    ctxs.iter().find(|c| c.path == path).copied()
 }
 
 fn violation(ctx: &FileContext, line: usize, rule: &'static str, message: String) -> Violation {
@@ -466,189 +450,12 @@ fn scan_guard_region(
     }
 }
 
-/// `wire-drift`: the protocol's five surfaces — `VERBS`, the parser
-/// match, the `Request` enum, the server dispatcher, `docs/SERVER.md` —
-/// plus the `PipelineStats` reporting surfaces must all agree.
-fn wire_drift(ctxs: &[&FileContext], model: &Model, docs: Option<&str>, out: &mut Vec<Violation>) {
-    if let Some(wire) = find(ctxs, WIRE_FILE) {
-        let (verbs, verbs_line) = extract_verbs(wire);
-        let parse_arms = string_match_arms(wire);
-        let dispatch = find(ctxs, DISPATCH_FILE).map(request_dispatch_arms);
-        for verb in &verbs {
-            if !parse_arms.contains(verb) {
-                out.push(violation(
-                    wire,
-                    verbs_line,
-                    "wire-drift",
-                    format!("verb {verb} is in VERBS but has no parse arm in wire.rs"),
-                ));
-            }
-            if let Some(dispatch) = &dispatch {
-                let variant = title_case(verb);
-                if !dispatch.contains(&variant) {
-                    out.push(violation(
-                        wire,
-                        verbs_line,
-                        "wire-drift",
-                        format!(
-                            "verb {verb} has no `Request::{variant}` dispatch arm in \
-                             crates/server/src/conn.rs"
-                        ),
-                    ));
-                }
-            }
-            if let Some(docs) = docs {
-                if !docs.contains(verb.as_str()) {
-                    out.push(violation(
-                        wire,
-                        verbs_line,
-                        "wire-drift",
-                        format!("verb {verb} is not documented in docs/SERVER.md"),
-                    ));
-                }
-            }
-        }
-        // Reverse direction: every Request variant must be a verb.
-        if let Some(file) = model.file(WIRE_FILE) {
-            if let Some(req) = file.enums.iter().find(|e| e.name == "Request") {
-                for (variant, line) in &req.variants {
-                    if !verbs.contains(&variant.to_uppercase()) {
-                        out.push(violation(
-                            wire,
-                            *line,
-                            "wire-drift",
-                            format!("Request::{variant} has no entry in the VERBS table"),
-                        ));
-                    }
-                }
-            }
-        }
-    }
-
-    // Every public PipelineStats field reaches both reporting surfaces.
-    if let Some(stats_file) = model.file(STATS_STRUCT_FILE) {
-        if let Some(stats) = stats_file
-            .structs
-            .iter()
-            .find(|s| s.name == "PipelineStats")
-        {
-            let worker = find(ctxs, STATS_STRUCT_FILE);
-            for surface_path in STATS_SURFACES {
-                let Some(surface) = find(ctxs, surface_path) else {
-                    continue;
-                };
-                for field in stats.fields.iter().filter(|f| f.public) {
-                    if !field_is_read(surface, &field.name) {
-                        if let Some(worker) = worker {
-                            out.push(violation(
-                                worker,
-                                field.line,
-                                "wire-drift",
-                                format!(
-                                    "PipelineStats.{} is not surfaced in {surface_path}; \
-                                     STATS/--stats-json must report every pipeline counter",
-                                    field.name
-                                ),
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// The string literals of the `VERBS` const initializer, plus the line
-/// the const is declared on (every verb violation anchors there).
-fn extract_verbs(ctx: &FileContext) -> (Vec<String>, usize) {
-    let code = &ctx.code;
-    for pos in 0..code.len() {
-        if ctx.text(code[pos]) != "VERBS" {
-            continue;
-        }
-        let line = ctx.tokens[code[pos]].line;
-        // Walk to the `=` then collect StrLits until the closing `;`.
-        let mut verbs = Vec::new();
-        let mut in_init = false;
-        for &ti in &code[pos + 1..] {
-            match ctx.text(ti) {
-                "=" if !in_init => in_init = true,
-                ";" if in_init => return (verbs, line),
-                _ if in_init && ctx.tokens[ti].kind == TokenKind::StrLit => {
-                    verbs.push(unquote(ctx.text(ti)));
-                }
-                _ => {}
-            }
-        }
-        return (verbs, line);
-    }
-    (Vec::new(), 1)
-}
-
-/// Every string literal directly followed by `=>` — the parser's (and
-/// keyword sub-parsers') match arms.
-fn string_match_arms(ctx: &FileContext) -> HashSet<String> {
-    let code = &ctx.code;
-    let mut out = HashSet::new();
-    for pos in 0..code.len().saturating_sub(2) {
-        if ctx.tokens[code[pos]].kind == TokenKind::StrLit
-            && ctx.text(code[pos + 1]) == "="
-            && ctx.text(code[pos + 2]) == ">"
-        {
-            out.insert(unquote(ctx.text(code[pos])));
-        }
-    }
-    out
-}
-
-/// Every `Request::Name` path in the dispatcher.
-fn request_dispatch_arms(ctx: &FileContext) -> HashSet<String> {
-    let code = &ctx.code;
-    let mut out = HashSet::new();
-    for pos in 0..code.len().saturating_sub(3) {
-        if ctx.text(code[pos]) == "Request"
-            && ctx.text(code[pos + 1]) == ":"
-            && ctx.text(code[pos + 2]) == ":"
-            && ctx.tokens[code[pos + 3]].kind == TokenKind::Ident
-        {
-            out.insert(ctx.text(code[pos + 3]).to_string());
-        }
-    }
-    out
-}
-
-/// Whether `.field` (a read of that struct field) appears anywhere in the
-/// file's non-test code.
-fn field_is_read(ctx: &FileContext, field: &str) -> bool {
-    let code = &ctx.code;
-    (0..code.len().saturating_sub(1))
-        .any(|pos| ctx.text(code[pos]) == "." && ctx.text(code[pos + 1]) == field)
-}
-
-fn unquote(s: &str) -> String {
-    s.trim_matches('"').to_string()
-}
-
-fn title_case(verb: &str) -> String {
-    let mut chars = verb.chars();
-    match chars.next() {
-        Some(first) => first
-            .to_uppercase()
-            .chain(chars.flat_map(char::to_lowercase))
-            .collect(),
-        None => String::new(),
-    }
-}
-
 /// `exit-code-registry`: numeric process exits (`process::exit(2)`,
 /// `ExitCode::from(2)`) are banned everywhere but the registry module —
 /// codes must be named constants so `cli/src/exit.rs` stays the single
-/// source of truth. `exit::NAME` references are validated against the
-/// registry's actual constants when it is in the analyzed set.
-fn exit_code_registry(ctxs: &[&FileContext], model: &Model, out: &mut Vec<Violation>) {
-    let registry: Option<HashSet<&str>> = model
-        .file(EXIT_REGISTRY_FILE)
-        .map(|f| f.consts.iter().map(|c| c.name.as_str()).collect());
+/// source of truth. (rustc already rejects an `exit::NAME` that the
+/// registry does not define.)
+fn exit_code_registry(ctxs: &[&FileContext], out: &mut Vec<Violation>) {
     for ctx in ctxs {
         if ctx.path == EXIT_REGISTRY_FILE {
             continue;
@@ -690,29 +497,6 @@ fn exit_code_registry(ctxs: &[&FileContext], model: &Model, out: &mut Vec<Violat
                             .to_string(),
                     ));
                 }
-                // `exit :: NAME` must name a registered constant.
-                "exit"
-                    if ctx.next_code(pos).is_some_and(|n| ctx.text(n) == ":")
-                        && pos + 3 < code.len()
-                        && ctx.text(code[pos + 2]) == ":" =>
-                {
-                    if let Some(registry) = &registry {
-                        let name = ctx.text(code[pos + 3]);
-                        let is_const = ctx.tokens[code[pos + 3]].kind == TokenKind::Ident
-                            && name.chars().all(|c| c.is_ascii_uppercase() || c == '_');
-                        if is_const && !registry.contains(name) {
-                            out.push(violation(
-                                ctx,
-                                tok.line,
-                                "exit-code-registry",
-                                format!(
-                                    "exit::{name} is not a constant in cli/src/exit.rs; \
-                                     register the code there before using it"
-                                ),
-                            ));
-                        }
-                    }
-                }
                 _ => {}
             }
         }
@@ -734,14 +518,14 @@ mod tests {
     use crate::model::Model;
     use crate::source::FileContext;
 
-    fn check(files: &[(&str, &str)], docs: Option<&str>) -> Vec<Violation> {
+    fn check(files: &[(&str, &str)]) -> Vec<Violation> {
         let ctxs: Vec<FileContext> = files
             .iter()
             .map(|(p, s)| FileContext::new((*p).into(), (*s).into()))
             .collect();
         let refs: Vec<&FileContext> = ctxs.iter().collect();
         let model = Model::build(&refs);
-        check_workspace(&refs, &model, docs)
+        check_workspace(&refs, &model)
     }
 
     #[test]
@@ -757,9 +541,7 @@ mod tests {
                  fn bookkeeping(&self) { for _x in 0..3 { self.tally(); } }\n\
                  fn tally(&self) {}\n\
                  }\n",
-            )],
-            None,
-        );
+            )]);
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].rule, "budget-poll");
         assert_eq!(v[0].line, 3, "the unpolled loop only");
@@ -776,9 +558,7 @@ mod tests {
                  fn step(&mut self) { self.try_grow_root(2); self.meter.exceeded(); }\n\
                  fn try_grow_root(&mut self, _r: u32) {}\n\
                  }\n",
-            )],
-            None,
-        );
+            )]);
         assert!(v.is_empty(), "{v:?}");
     }
 
@@ -794,9 +574,7 @@ mod tests {
                     "crates/tpminer/src/search.rs",
                     "#[cfg(test)]\nmod tests {\n    fn t(e: &mut E) { loop { e.expand(); } }\n}\nfn expand() {}\n",
                 ),
-            ],
-            None,
-        );
+            ]);
         assert!(v.is_empty(), "{v:?}");
     }
 
@@ -812,9 +590,7 @@ mod tests {
                  fn fine(&self) {\n    let guard = self.state.lock();\n    let n = guard.len();\n    drop(guard);\n    self.tx.send(n);\n}\n\
                  fn scoped(&self) {\n    { let guard = self.state.lock(); guard.touch(); }\n    self.tx.send(3);\n}\n\
                  }\n",
-            )],
-            None,
-        );
+            )]);
         let lines: Vec<usize> = v.iter().map(|x| x.line).collect();
         assert_eq!(
             v.iter().filter(|x| x.rule == "lock-discipline").count(),
@@ -837,9 +613,7 @@ mod tests {
             &[(
                 "crates/server/src/session.rs",
                 "impl S {\nfn sync(&self) {\n    let job = {\n        let mut guard = self.state.lock();\n        guard.freeze()\n    };\n    self.tx.send(job);\n}\n}\n",
-            )],
-            None,
-        );
+            )]);
         assert!(v.is_empty(), "{v:?}");
     }
 
@@ -850,9 +624,7 @@ mod tests {
                 "crates/stream/src/snapshot.rs",
                 "fn publish(&self) {\n    let subs = self.subs.lock();\n    for s in subs.iter() { s.tx.try_send(1); }\n}\n\
                  fn io(sock: &mut T, buf: &mut [u8]) {\n    let n = sock.read(buf);\n    let m = sock.write(buf);\n    sock.flush();\n}\n",
-            )],
-            None,
-        );
+            )]);
         assert!(v.is_empty(), "{v:?}");
     }
 
@@ -863,131 +635,43 @@ mod tests {
                 "crates/stream/src/worker.rs",
                 "fn bad(&self) {\n    let g = self.m.lock();\n    let _ = self.rx.recv();\n    let _ = self.h.join();\n    g.touch();\n}\n\
                  fn fine(&self, parts: &[String]) {\n    let g = self.m.lock();\n    let _ = parts.join(\", \");\n    g.touch();\n}\n",
-            )],
-            None,
-        );
+            )]);
         assert_eq!(v.len(), 2, "{v:?}");
         assert!(v.iter().all(|x| x.rule == "lock-discipline"));
     }
 
-    const WIRE_OK: &str = "pub const VERBS: &[&str] = &[\"PING\", \"QUERY\"];\n\
-        pub enum Request {\n    Ping,\n    Query { stream: String },\n}\n\
-        fn parse(verb: &str) {\n    match verb {\n        \"PING\" => {}\n        \"QUERY\" => {}\n        _ => {}\n    }\n}\n";
-    const CONN_OK: &str = "fn dispatch(r: Request) {\n    match r {\n        Request::Ping => {}\n        Request::Query { stream } => {}\n    }\n}\n";
-
     #[test]
-    fn wire_drift_is_silent_when_all_surfaces_agree() {
-        let v = check(
-            &[
-                ("crates/interval-core/src/wire.rs", WIRE_OK),
-                ("crates/server/src/conn.rs", CONN_OK),
-            ],
-            Some("## Commands\nPING | QUERY\n"),
-        );
-        assert!(v.is_empty(), "{v:?}");
-    }
-
-    #[test]
-    fn wire_drift_catches_each_missing_surface() {
-        // Verb with no parse arm and no docs mention.
-        let wire_missing = "pub const VERBS: &[&str] = &[\"PING\", \"QUERY\", \"DRAIN\"];\n\
-            pub enum Request {\n    Ping,\n    Query { stream: String },\n    Drain,\n}\n\
-            fn parse(verb: &str) {\n    match verb {\n        \"PING\" => {}\n        \"QUERY\" => {}\n        \"DRAIN\" => {}\n        _ => {}\n    }\n}\n";
-        let v = check(
-            &[
-                ("crates/interval-core/src/wire.rs", wire_missing),
-                ("crates/server/src/conn.rs", CONN_OK),
-            ],
-            Some("PING | QUERY\n"),
-        );
-        let msgs: Vec<&str> = v.iter().map(|x| x.message.as_str()).collect();
-        assert!(
-            msgs.iter()
-                .any(|m| m.contains("DRAIN") && m.contains("dispatch")),
-            "{msgs:?}"
-        );
-        assert!(
-            msgs.iter()
-                .any(|m| m.contains("DRAIN") && m.contains("SERVER.md")),
-            "{msgs:?}"
-        );
-        assert!(v.iter().all(|x| x.rule == "wire-drift"));
-
-        // Variant with no VERBS entry.
-        let wire_extra_variant = "pub const VERBS: &[&str] = &[\"PING\"];\n\
-            pub enum Request {\n    Ping,\n    Rogue,\n}\n\
-            fn parse(verb: &str) {\n    match verb {\n        \"PING\" => {}\n        _ => {}\n    }\n}\n";
-        let v = check(
-            &[("crates/interval-core/src/wire.rs", wire_extra_variant)],
-            None,
-        );
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert!(v[0].message.contains("Request::Rogue"), "{v:?}");
-    }
-
-    #[test]
-    fn wire_drift_checks_pipeline_stats_surfaces() {
-        let worker = "pub struct PipelineStats {\n    pub done: u64,\n    pub lag: u64,\n}\n";
-        let proto = "fn stats_line(ps: &PipelineStats) -> String { format!(\"{}\", ps.done) }\n";
-        let cli =
-            "fn stats_json(ps: &PipelineStats) -> String { format!(\"{} {}\", ps.done, ps.lag) }\n";
-        let v = check(
-            &[
-                ("crates/stream/src/worker.rs", worker),
-                ("crates/server/src/proto.rs", proto),
-                ("crates/cli/src/stats_json.rs", cli),
-            ],
-            None,
-        );
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert!(v[0].message.contains("PipelineStats.lag"), "{v:?}");
-        assert!(v[0].message.contains("proto.rs"), "{v:?}");
-        assert_eq!(v[0].file, "crates/stream/src/worker.rs");
-    }
-
-    #[test]
-    fn exit_code_registry_flags_numeric_exits_and_unknown_constants() {
-        let v = check(
-            &[
-                (
-                    "crates/cli/src/exit.rs",
-                    "pub const SUCCESS: u8 = 0;\npub const USAGE: u8 = 2;\n",
-                ),
-                (
-                    "crates/cli/src/main.rs",
-                    "fn a() { std::process::exit(2); }\n\
+    fn exit_code_registry_flags_numeric_exits() {
+        let v = check(&[
+            (
+                "crates/cli/src/exit.rs",
+                "pub const SUCCESS: u8 = 0;\npub const USAGE: u8 = 2;\n",
+            ),
+            (
+                "crates/cli/src/main.rs",
+                "fn a() { std::process::exit(2); }\n\
                      fn b() -> ExitCode { ExitCode::from(3) }\n\
-                     fn c() { std::process::exit(i32::from(exit::USAGE)); }\n\
-                     fn d() { std::process::exit(i32::from(exit::BOGUS)); }\n",
-                ),
-            ],
-            None,
-        );
-        assert_eq!(v.len(), 3, "{v:?}");
+                     fn c() { std::process::exit(i32::from(exit::USAGE)); }\n",
+            ),
+        ]);
+        assert_eq!(v.len(), 2, "{v:?}");
         assert!(v.iter().all(|x| x.rule == "exit-code-registry"));
         assert!(v.iter().any(|x| x.line == 1), "numeric process::exit");
         assert!(v.iter().any(|x| x.line == 2), "numeric ExitCode::from");
-        assert!(
-            v.iter().any(|x| x.line == 4 && x.message.contains("BOGUS")),
-            "{v:?}"
-        );
     }
 
     #[test]
     fn exit_code_registry_is_quiet_in_the_registry_and_tests() {
-        let v = check(
-            &[
-                (
-                    "crates/cli/src/exit.rs",
-                    "pub const SUCCESS: u8 = 0;\nfn die() { std::process::exit(0); }\n",
-                ),
-                (
-                    "crates/cli/src/main.rs",
-                    "#[cfg(test)]\nmod tests {\n    fn t() { std::process::exit(7); }\n}\n",
-                ),
-            ],
-            None,
-        );
+        let v = check(&[
+            (
+                "crates/cli/src/exit.rs",
+                "pub const SUCCESS: u8 = 0;\nfn die() { std::process::exit(0); }\n",
+            ),
+            (
+                "crates/cli/src/main.rs",
+                "#[cfg(test)]\nmod tests {\n    fn t() { std::process::exit(7); }\n}\n",
+            ),
+        ]);
         assert!(v.is_empty(), "{v:?}");
     }
 }

@@ -76,11 +76,6 @@ impl FileContext {
     pub fn text(&self, i: usize) -> &str {
         self.tokens[i].text(&self.src)
     }
-
-    /// The code token following `code[pos]`, if any.
-    pub fn next_code(&self, pos: usize) -> Option<usize> {
-        self.code.get(pos + 1).copied()
-    }
 }
 
 /// Finds line ranges of items annotated with a test-marking attribute.

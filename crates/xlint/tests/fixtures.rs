@@ -3,8 +3,8 @@
 //! Each rule has a violating fixture and a suppressed (`xlint::allow` +
 //! reason) one. The fixtures are checked as a miniature workspace under
 //! synthetic paths, because the rules key on a file's location (the
-//! mining-path files, the protocol definition, the exit-code registry)
-//! rather than its content alone.
+//! mining-path files, the stream and server crates, the exit-code
+//! registry) rather than its content alone.
 
 #![allow(
     clippy::unwrap_used,
@@ -21,7 +21,7 @@ use xlint::source::FileContext;
 /// Lints a set of fixtures as a miniature workspace: each fixture lands
 /// at its synthetic workspace `path` and the set goes through
 /// [`xlint::lint_files`], as `run_workspace` sends the real one.
-fn lint_workspace(files: &[(&str, &str)], docs: Option<&str>) -> (Vec<Violation>, usize) {
+fn lint_workspace(files: &[(&str, &str)]) -> (Vec<Violation>, usize) {
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures");
     let ctxs: Vec<FileContext> = files
         .iter()
@@ -31,7 +31,7 @@ fn lint_workspace(files: &[(&str, &str)], docs: Option<&str>) -> (Vec<Violation>
             FileContext::new((*path).into(), src)
         })
         .collect();
-    let report = xlint::lint_files(ctxs, docs);
+    let report = xlint::lint_files(ctxs);
     (report.violations, report.suppressed)
 }
 
@@ -43,38 +43,31 @@ fn rules(violations: &[Violation]) -> Vec<&str> {
 fn budget_poll_fixture_pair() {
     // Violating: the unpolled growth loop fires; the bookkeeping loop is
     // silent because it never reaches a growth entry point.
-    let (v, suppressed) = lint_workspace(
-        &[("budget_poll_violation.rs", "crates/tpminer/src/search.rs")],
-        None,
-    );
+    let (v, suppressed) =
+        lint_workspace(&[("budget_poll_violation.rs", "crates/tpminer/src/search.rs")]);
     assert_eq!(rules(&v), ["budget-poll"], "{v:?}");
     assert_eq!(v[0].line, 7, "the unpolled loop, not the bookkeeping one");
     assert_eq!(suppressed, 0);
 
     // Suppressed: the reasoned allow absorbs the violation; the metered
     // loop alongside needs no annotation at all.
-    let (v, suppressed) = lint_workspace(
-        &[("budget_poll_allow.rs", "crates/tpminer/src/search.rs")],
-        None,
-    );
+    let (v, suppressed) =
+        lint_workspace(&[("budget_poll_allow.rs", "crates/tpminer/src/search.rs")]);
     assert!(v.is_empty(), "{v:?}");
     assert_eq!(suppressed, 1);
 
     // Off the mining path the rule does not apply, so the allow would be
     // flagged as unused — suppressions must never outlive their rule.
-    let (v, _) = lint_workspace(&[("budget_poll_allow.rs", "crates/cli/src/main.rs")], None);
+    let (v, _) = lint_workspace(&[("budget_poll_allow.rs", "crates/cli/src/main.rs")]);
     assert_eq!(rules(&v), ["unused-allow"], "{v:?}");
 }
 
 #[test]
 fn lock_discipline_fixture_pair() {
-    let (v, suppressed) = lint_workspace(
-        &[(
-            "lock_discipline_violation.rs",
-            "crates/server/src/session.rs",
-        )],
-        None,
-    );
+    let (v, suppressed) = lint_workspace(&[(
+        "lock_discipline_violation.rs",
+        "crates/server/src/session.rs",
+    )]);
     assert_eq!(rules(&v), ["lock-discipline"], "{v:?}");
     assert_eq!(
         v[0].line, 7,
@@ -83,66 +76,24 @@ fn lock_discipline_fixture_pair() {
     assert!(v[0].message.contains("`guard`"), "{v:?}");
     assert_eq!(suppressed, 0);
 
-    let (v, suppressed) = lint_workspace(
-        &[("lock_discipline_allow.rs", "crates/server/src/session.rs")],
-        None,
-    );
+    let (v, suppressed) =
+        lint_workspace(&[("lock_discipline_allow.rs", "crates/server/src/session.rs")]);
     assert!(v.is_empty(), "{v:?}");
     assert_eq!(suppressed, 1);
 
     // Outside the stream/server crates guards may block freely (the
     // mining engine has no cross-thread lock protocol), so the allow
     // comes back as unused.
-    let (v, _) = lint_workspace(
-        &[("lock_discipline_allow.rs", "crates/tpminer/src/helper.rs")],
-        None,
-    );
-    assert_eq!(rules(&v), ["unused-allow"], "{v:?}");
-}
-
-#[test]
-fn wire_drift_fixture_pair() {
-    let docs = Some("The server speaks PING and QUERY.");
-    let (v, suppressed) = lint_workspace(
-        &[(
-            "wire_drift_violation.rs",
-            "crates/interval-core/src/wire.rs",
-        )],
-        docs,
-    );
-    assert_eq!(rules(&v), ["wire-drift"], "{v:?}");
-    assert!(v[0].message.contains("Request::Rogue"), "{v:?}");
-    assert_eq!(v[0].line, 10, "anchors on the rogue variant");
-    assert_eq!(suppressed, 0);
-
-    let (v, suppressed) = lint_workspace(
-        &[("wire_drift_allow.rs", "crates/interval-core/src/wire.rs")],
-        docs,
-    );
-    assert!(v.is_empty(), "{v:?}");
-    assert_eq!(suppressed, 1);
-
-    // The anchors are path-keyed: the same file anywhere else is not the
-    // protocol definition, so nothing fires and the allow is unused.
-    let (v, _) = lint_workspace(
-        &[("wire_drift_allow.rs", "crates/interval-core/src/other.rs")],
-        docs,
-    );
+    let (v, _) = lint_workspace(&[("lock_discipline_allow.rs", "crates/tpminer/src/helper.rs")]);
     assert_eq!(rules(&v), ["unused-allow"], "{v:?}");
 }
 
 #[test]
 fn exit_code_registry_fixture_pair() {
     // Violating: one numeric `exit(…)` and one numeric `ExitCode::from`;
-    // the `exit::USAGE` call resolves against the registry stand-in and
-    // passes.
-    let (v, suppressed) = lint_workspace(
-        &[
-            ("exit_code_registry_consts.rs", "crates/cli/src/exit.rs"),
-            ("exit_code_registry_violation.rs", "crates/cli/src/main.rs"),
-        ],
-        None,
-    );
+    // the `exit::USAGE` call is the sanctioned shape and passes.
+    let (v, suppressed) =
+        lint_workspace(&[("exit_code_registry_violation.rs", "crates/cli/src/main.rs")]);
     assert_eq!(
         rules(&v),
         ["exit-code-registry", "exit-code-registry"],
@@ -155,45 +106,12 @@ fn exit_code_registry_fixture_pair() {
     );
     assert_eq!(suppressed, 0);
 
-    let (v, suppressed) = lint_workspace(
-        &[
-            ("exit_code_registry_consts.rs", "crates/cli/src/exit.rs"),
-            ("exit_code_registry_allow.rs", "crates/cli/src/main.rs"),
-        ],
-        None,
-    );
+    let (v, suppressed) =
+        lint_workspace(&[("exit_code_registry_allow.rs", "crates/cli/src/main.rs")]);
     assert!(v.is_empty(), "{v:?}");
     assert_eq!(suppressed, 1);
 
     // The registry module itself is the one sanctioned home for numbers.
-    let (v, _) = lint_workspace(
-        &[("exit_code_registry_consts.rs", "crates/cli/src/exit.rs")],
-        None,
-    );
+    let (v, _) = lint_workspace(&[("exit_code_registry_violation.rs", "crates/cli/src/exit.rs")]);
     assert!(v.is_empty(), "{v:?}");
-}
-
-#[test]
-fn run_changed_analyzes_everything_but_scopes_the_report() {
-    let manifest = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let root = manifest
-        .parent()
-        .and_then(Path::parent)
-        .expect("workspace root");
-    // `HEAD` is always a valid base inside the repo; whatever the diff
-    // contains, the full workspace is still analyzed (checked_files) and
-    // every surviving violation must name a changed file.
-    let report = xlint::run_changed(root, "HEAD").expect("git diff against HEAD");
-    assert!(
-        report.checked_files > 50,
-        "the whole workspace is analyzed, not just the diff: {}",
-        report.checked_files
-    );
-
-    // An unknown base is a clean error, not a panic or an empty report.
-    let err = match xlint::run_changed(root, "xlint-no-such-ref") {
-        Err(e) => e,
-        Ok(r) => panic!("unknown base accepted: {} files", r.checked_files),
-    };
-    assert!(err.to_string().contains("git diff"), "{err}");
 }
