@@ -361,6 +361,12 @@ impl<'a> IntervalRecord<'a> {
         push_symbol(out, self.symbol);
     }
 
+    /// The number of bytes [`encode`](Self::encode) appends: the tag,
+    /// sequence, two times, the symbol's length prefix and the symbol.
+    pub fn encoded_len(&self) -> usize {
+        1 + 4 * 8 + self.symbol.len()
+    }
+
     /// Decodes one interval record in place; the symbol borrows from
     /// `bytes`. Every check of [`StreamEvent::decode`] applies, and a
     /// well-formed record of another kind is an error too.
@@ -661,6 +667,7 @@ mod tests {
         let mut borrowed = Vec::new();
         record.encode(&mut borrowed);
         assert_eq!(borrowed, owned, "one encoding");
+        assert_eq!(record.encoded_len(), owned.len());
 
         // Another well-formed kind is not an interval; truncation and a
         // degenerate interval fail as they do for `StreamEvent::decode`.

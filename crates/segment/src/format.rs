@@ -166,21 +166,30 @@ impl Footer {
     }
 }
 
-/// Assembles a complete segment file image: magic, body, framed footer,
-/// trailer. `body` must already be framed interval records and `footer`
-/// must describe it (offsets relative to the body start).
-pub fn assemble(body: &[u8], footer: &Footer) -> Vec<u8> {
+/// Starts a segment image: the leading magic, with room for `body_bytes`
+/// of framed records and the footer of `sequences` runs, so appending the
+/// body and then [`finish_image`] never reallocates (and never copies the
+/// body).
+pub fn begin_image(body_bytes: usize, sequences: usize) -> Vec<u8> {
+    let footer_frame = FRAME_HEADER_LEN + 44 + 32 * sequences;
+    let mut image =
+        Vec::with_capacity(SEGMENT_MAGIC.len() + body_bytes + footer_frame + TRAILER_LEN);
+    image.extend_from_slice(SEGMENT_MAGIC);
+    image
+}
+
+/// Completes an image that [`begin_image`] started and the caller extended
+/// by its framed interval records: appends the framed footer and the
+/// trailer in place. `footer` must describe the body (offsets relative to
+/// the body start, just after the magic).
+pub fn finish_image(image: &mut Vec<u8>, footer: &Footer) {
     let payload = footer.encode();
-    let mut out = Vec::with_capacity(SEGMENT_MAGIC.len() + body.len() + payload.len() + 32);
-    out.extend_from_slice(SEGMENT_MAGIC);
-    out.extend_from_slice(body);
     let frame_len = FRAME_HEADER_LEN + payload.len();
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out.extend_from_slice(&(frame_len as u32).to_le_bytes());
-    out.extend_from_slice(TRAILER_MAGIC);
-    out
+    image.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    image.extend_from_slice(&crc32(&payload).to_le_bytes());
+    image.extend_from_slice(&payload);
+    image.extend_from_slice(&(frame_len as u32).to_le_bytes());
+    image.extend_from_slice(TRAILER_MAGIC);
 }
 
 /// A validated in-memory segment image: the decoded footer plus the byte
@@ -348,7 +357,10 @@ mod tests {
             records: 3,
             sequences: entries,
         };
-        assemble(&body, &footer)
+        let mut image = begin_image(body.len(), footer.sequences.len());
+        image.extend_from_slice(&body);
+        finish_image(&mut image, &footer);
+        image
     }
 
     /// The `(symbol, start, end)` records of the `index`-th sequence run.

@@ -337,11 +337,10 @@ mod tests {
                 count,
             }],
         };
-        std::fs::write(
-            dir.join("00000000.seg"),
-            crate::format::assemble(&body, &footer),
-        )
-        .unwrap();
+        let mut image = crate::format::begin_image(body.len(), 1);
+        image.extend_from_slice(&body);
+        crate::format::finish_image(&mut image, &footer);
+        std::fs::write(dir.join("00000000.seg"), image).unwrap();
     }
 
     #[test]

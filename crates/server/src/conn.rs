@@ -14,6 +14,7 @@
 //! owned by the registry, not the connection, and every response path
 //! keeps the loop alive except genuine I/O errors and `QUIT`.
 
+use std::borrow::Cow;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
@@ -44,9 +45,11 @@ struct ActiveSub {
 }
 
 /// What one attempt to read a request line produced.
-enum Next {
-    /// A complete line (without its terminator).
-    Line(String),
+enum Next<'a> {
+    /// A complete line (without its terminator), borrowed from the
+    /// reader's buffer until the next read; invalid UTF-8 is decoded
+    /// lossily into an owned copy.
+    Line(Cow<'a, str>),
     /// A line exceeded the cap and was discarded through the newline.
     Oversize,
     /// The peer closed the connection.
@@ -60,6 +63,9 @@ enum Next {
 struct LineReader {
     reader: BufReader<TcpStream>,
     buf: Vec<u8>,
+    /// Whether `buf` holds the line the last `next` returned, to be
+    /// cleared before the next read.
+    lent: bool,
     discarding: bool,
 }
 
@@ -68,12 +74,17 @@ impl LineReader {
         LineReader {
             reader: BufReader::new(sock),
             buf: Vec::new(),
+            lent: false,
             discarding: false,
         }
     }
 
-    fn next(&mut self) -> std::io::Result<Next> {
+    fn next(&mut self) -> std::io::Result<Next<'_>> {
         use std::io::ErrorKind;
+        if self.lent {
+            self.buf.clear();
+            self.lent = false;
+        }
         loop {
             if self.discarding {
                 // Consume through the newline in buffer-sized chunks.
@@ -142,16 +153,17 @@ impl LineReader {
         }
     }
 
-    fn take_line(&mut self) -> String {
+    /// Lends the buffered line, without its terminator, until the next
+    /// read clears it.
+    fn take_line(&mut self) -> Cow<'_, str> {
         if self.buf.last() == Some(&b'\n') {
             self.buf.pop();
         }
         if self.buf.last() == Some(&b'\r') {
             self.buf.pop();
         }
-        let line = String::from_utf8_lossy(&self.buf).into_owned();
-        self.buf.clear();
-        line
+        self.lent = true;
+        String::from_utf8_lossy(&self.buf)
     }
 }
 

@@ -206,6 +206,12 @@ fn extract_file(ctx: &FileContext) -> FileModel {
         let Some(&name_ti) = code.get(pos + 1) else {
             break;
         };
+        // A fn-pointer type (`fn(Scale)`) is not an item: a definition
+        // names itself right after `fn`.
+        if ctx.tokens[name_ti].kind != TokenKind::Ident {
+            pos += 1;
+            continue;
+        }
         let name = ctx.text(name_ti).to_string();
         let line = ctx.tokens[name_ti].line;
         // Find the body `{` (or `;` for signatures), skipping the
@@ -312,6 +318,30 @@ mod tests {
     fn model(src: &str) -> Model {
         let c = ctx("crates/demo/src/lib.rs", src);
         Model::build(&[&c])
+    }
+
+    #[test]
+    fn fn_pointer_types_are_not_items() {
+        // The shape of `repro.rs`: a fn-pointer alias, then fns that use
+        // it; plus a struct field of fn-pointer type.
+        let m = model(
+            "type Experiment = (&'static str, fn(Scale));\n\
+             struct Hook {\n    run: fn(u32) -> bool,\n}\n\
+             fn e1(scale: Scale) { table(scale); }\n\
+             fn table(scale: Scale) { chart(); }\n\
+             fn chart() {}\n\
+             fn main() { let all: [Experiment; 1] = [(\"e1\", e1)]; dispatch(&all); }\n",
+        );
+        let names: Vec<&str> = m.files[0].fns.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(names, ["e1", "table", "chart", "main"]);
+        let calls = |name: &str| -> Vec<String> {
+            m.fns_named(name)
+                .flat_map(|f| f.calls.iter().map(|c| c.name.clone()))
+                .collect()
+        };
+        assert_eq!(calls("e1"), ["table"]);
+        assert_eq!(calls("table"), ["chart"]);
+        assert_eq!(calls("main"), ["dispatch"]);
     }
 
     #[test]

@@ -68,16 +68,34 @@ impl Op {
             Op::Watermark(at) => StreamEvent::Watermark(at),
         }
     }
+
+    /// The same op, `by` time units later.
+    fn shifted(self, by: Time) -> Op {
+        match self {
+            Op::Interval {
+                sequence,
+                symbol,
+                start,
+                end,
+            } => Op::Interval {
+                sequence,
+                symbol,
+                start: start + by,
+                end: end + by,
+            },
+            Op::Watermark(at) => Op::Watermark(at + by),
+        }
+    }
 }
 
 /// ~1 in 4 ops advances the watermark; the rest insert intervals over a
 /// tiny alphabet/sequence space so that co-occurrence (and therefore mining
-/// work) is common.
-fn op(rng: &mut SplitMix64) -> Op {
+/// work) is common. Times start in `0..span`.
+fn op(rng: &mut SplitMix64, span: Time) -> Op {
     let kind = rng.range(0u32..4);
     let sequence = rng.range(0u64..4);
     let symbol = rng.range(0u32..4);
-    let t = rng.range(0i64..50);
+    let t = rng.range(0i64..span);
     let len = rng.range(1i64..8);
     if kind == 0 {
         Op::Watermark(t + len)
@@ -93,7 +111,19 @@ fn op(rng: &mut SplitMix64) -> Op {
 
 /// A random ingest run of 1 to 39 ops.
 pub fn ops(rng: &mut SplitMix64) -> Vec<Op> {
-    prop::vec(rng, 1..40, op)
+    prop::vec(rng, 1..40, |rng| op(rng, 50))
+}
+
+/// A longer run, of 40 to 159 ops, on a clock that moves forward: each op
+/// is drawn as in [`ops`] over a 16-unit span, then shifted by the clock,
+/// which advances 0 to 2 units per op. Watermarks mostly advance, so a
+/// sliding window evicts as it goes, and a journal rotates and reclaims.
+pub fn drifting_ops(rng: &mut SplitMix64) -> Vec<Op> {
+    let mut now: Time = 0;
+    prop::vec(rng, 40..160, |rng| {
+        now += rng.range(0i64..3);
+        op(rng, 16).shifted(now)
+    })
 }
 
 /// The window's materialized contents in a canonical, name-keyed shape:

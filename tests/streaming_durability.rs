@@ -10,6 +10,11 @@
 //!   every fsync, the journal latches its sticky degraded flag, the
 //!   pipeline surfaces it in [`stream::PipelineStats`], and the in-memory
 //!   window still holds every ingested event;
+//! - **a seal crash in combination**: with the WAL and the segment store
+//!   on fault-injecting disks, the store's disk dies at any byte of its
+//!   seals while ingestion goes on, WAL reclaim included; after reopen and
+//!   replay, every accepted interval is in the WAL or in a sealed segment,
+//!   and the replayed window equals a shadow that never crashed;
 //! - **committed fixtures**: real WAL files with a torn tail and with a
 //!   flipped bit (under `tests/fixtures/wal/`) recover with exactly the
 //!   documented semantics, so the on-disk format cannot drift silently.
@@ -23,15 +28,18 @@
 
 mod common;
 
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use common::{ops, prop, window_contents, Op};
+use common::{drifting_ops, ops, prop, window_contents, Op};
 use durability::{
-    frame_record, FaultPlan, FaultyFs, FsyncPolicy, RetryPolicy, WalOptions, WalWriter,
+    frame_record, scan_wal, FaultPlan, FaultyFs, FsyncPolicy, RetryPolicy, StdFs, WalOptions,
+    WalWriter,
 };
 use interval_core::wire::SupportSpec;
-use interval_core::{MiningBudget, StreamEvent, Time};
+use interval_core::{MiningBudget, SequenceId, StreamEvent, Time};
+use segment::{ParsedSegment, SegmentOptions, SegmentStore};
 use stream::{
     durable, IncrementalMiner, Journal, Pipeline, PipelineConfig, SlidingWindowDatabase, Trigger,
 };
@@ -137,6 +145,165 @@ fn replay_at_any_crash_point_matches_the_uncrashed_shadow() {
         assert_eq!(mined(&mut recovered), mined(&mut shadow));
 
         std::fs::remove_dir_all(&dir).ok();
+    });
+}
+
+/// One completed interval, as the WAL and the segments both record it.
+type Record = (SequenceId, String, Time, Time);
+
+/// What [`durable_run`] left behind.
+struct DurableRun {
+    dir: PathBuf,
+    /// The intervals the pipeline accepted.
+    accepted: Vec<Record>,
+    /// Bytes the store's disk took: segment files and manifest lines.
+    store_bytes: u64,
+}
+
+/// Runs `events` through a pipeline that journals to a WAL (fsync on every
+/// append) and seals into a segment store once `seal_bytes` are buffered,
+/// each on its own fault-injecting disk, then finishes it cleanly.
+fn durable_run(events: &[StreamEvent], seal_bytes: usize, store_plan: FaultPlan) -> DurableRun {
+    let dir = temp_dir("seal-crash");
+    let mut opts = WalOptions::new(WINDOW);
+    opts.policy = FsyncPolicy::Always;
+    opts.retry = RetryPolicy::none();
+    let wal_fs = FaultyFs::new(FaultPlan::default());
+    let wal = WalWriter::open_with(wal_fs, dir.join("wal"), opts).unwrap();
+    let store_fs = FaultyFs::new(store_plan);
+    let seals = SegmentOptions {
+        seal_bytes,
+        retry: RetryPolicy::none(),
+    };
+    let store = SegmentStore::open_with(store_fs.clone(), dir.join("seg"), seals).unwrap();
+    let mut pipeline = Pipeline::new(
+        SlidingWindowDatabase::new(WINDOW),
+        Some(Journal::with_wal(wal)),
+        Some(store),
+        pipeline_config(2),
+    );
+    let mut accepted = Vec::new();
+    for event in events {
+        let Ok(ingested) = pipeline.ingest(event.clone()) else {
+            continue;
+        };
+        if let StreamEvent::Interval {
+            sequence,
+            symbol,
+            start,
+            end,
+        } = event
+        {
+            accepted.push((*sequence, symbol.clone(), *start, *end));
+        }
+        if let Some(due) = ingested.due {
+            due.submit();
+        }
+    }
+    assert!(!pipeline.journal().unwrap().is_degraded());
+    let finished = pipeline.finish(false).unwrap().join();
+    assert!(!finished.worker_failed);
+    DurableRun {
+        dir,
+        accepted,
+        store_bytes: store_fs.bytes_written(),
+    }
+}
+
+/// The intervals a segment directory holds after a reopen has recovered
+/// it (partial segments deleted, orphans adopted).
+fn sealed_records(dir: &Path) -> Vec<Record> {
+    let store = SegmentStore::open(dir, SegmentOptions::default()).unwrap();
+    let mut records = Vec::new();
+    for meta in store.segments() {
+        let bytes = std::fs::read(dir.join(&meta.file)).unwrap();
+        let parsed = ParsedSegment::parse(&bytes).unwrap();
+        for entry in &parsed.footer.sequences {
+            parsed
+                .visit_records(entry, |symbol, start, end| {
+                    records.push((entry.sequence, symbol.to_owned(), start, end));
+                })
+                .unwrap();
+        }
+    }
+    records
+}
+
+/// The store's disk dies at byte `k` of its seals while ingestion goes on
+/// past the failed seal's watermark, WAL reclaim included: the degraded
+/// store must freeze reclaim below every interval it failed to seal. After
+/// reopen and replay, no accepted interval is
+/// lost from both the WAL and the segments, no segment holds an interval
+/// that was never accepted, and the replayed window holds what a shadow
+/// window that ingested the same events without any storage holds. (Its
+/// mined patterns are not compared as text: once the WAL's head is
+/// reclaimed, replay interns the symbols in another order.)
+#[test]
+fn a_seal_crash_loses_no_accepted_interval_and_replays_the_shadow() {
+    let generate = |rng: &mut _| {
+        (
+            drifting_ops(rng),
+            rng.range(1usize..400),
+            rng.range(0.0f64..1.0),
+        )
+    };
+    prop::check(48, generate, |(run, seal_bytes, frac)| {
+        let events: Vec<StreamEvent> = run.iter().map(Op::event).collect();
+        // An uncrashed run measures how many bytes this run's seals write.
+        let probe = durable_run(&events, seal_bytes, FaultPlan::default());
+        std::fs::remove_dir_all(&probe.dir).ok();
+        let crash_after = (frac * probe.store_bytes as f64) as u64;
+        let crashed = durable_run(
+            &events,
+            seal_bytes,
+            FaultPlan {
+                crash_after_bytes: Some(crash_after),
+                ..FaultPlan::default()
+            },
+        );
+        assert_eq!(crashed.accepted, probe.accepted);
+
+        let sealed = sealed_records(&crashed.dir.join("seg"));
+        let (logged, _) = scan_wal(&StdFs, &crashed.dir.join("wal")).unwrap();
+        let mut durable: BTreeSet<Record> = sealed.iter().cloned().collect();
+        for event in logged {
+            if let StreamEvent::Interval {
+                sequence,
+                symbol,
+                start,
+                end,
+            } = event
+            {
+                durable.insert((sequence, symbol, start, end));
+            }
+        }
+        for record in &crashed.accepted {
+            assert!(
+                durable.contains(record),
+                "accepted interval {record:?} is in neither the WAL nor a segment \
+                 (store disk died after {crash_after} of {} bytes)",
+                probe.store_bytes
+            );
+        }
+        let accepted: BTreeSet<&Record> = crashed.accepted.iter().collect();
+        for record in &sealed {
+            assert!(
+                accepted.contains(record),
+                "sealed {record:?} never accepted"
+            );
+        }
+
+        let mut shadow = SlidingWindowDatabase::new(WINDOW);
+        for event in &events {
+            let _ = shadow.ingest(event.clone());
+        }
+        let recovered = durable::replay(crashed.dir.join("wal"), WINDOW)
+            .unwrap()
+            .window;
+        assert_eq!(recovered.watermark(), shadow.watermark());
+        assert_eq!(recovered.open_intervals(), shadow.open_intervals());
+        assert_eq!(window_contents(&recovered), window_contents(&shadow));
+        std::fs::remove_dir_all(&crashed.dir).ok();
     });
 }
 
